@@ -10,9 +10,8 @@ Usage examples::
 Exit codes: 0 success (an Undecided classification is still success — the
 report carries the status), 1 validation failure, 2 usage error.
 Machine output always carries a schema-version field; identical argv and
-seed give byte-identical output.  Environment overrides: ARTIFACT_SEED for
-the default seed, ARTIFACT_WORKERS for the worker count (the engine is
-vectorized and order-deterministic, so workers affect throughput only).
+seed give byte-identical output.  Environment override: ARTIFACT_SEED for
+the default seed.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -84,17 +84,6 @@ def _env_seed(default: int = 0) -> int:
         raise UsageError(f"ARTIFACT_SEED must be an integer, got {raw!r}") from exc
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("ARTIFACT_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"ARTIFACT_WORKERS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise UsageError("ARTIFACT_WORKERS must be >= 1")
-    return w
-
-
 class UsageError(Exception):
     pass
 
@@ -107,9 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, rho_required=True):
-        sp.add_argument("--alpha", type=float, required=True, help="stability index in (0,2)")
-        sp.add_argument("--rho", type=float, required=rho_required, help="positivity parameter P(X_1>0)")
+    def common(sp, required=True):
+        sp.add_argument("--alpha", type=float, required=required, help="stability index in (0,2)")
+        sp.add_argument("--rho", type=float, required=required, help="positivity parameter P(X_1>0)")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0 or ARTIFACT_SEED)")
         sp.add_argument("--output", type=str, default=None, help="output file (default stdout)")
 
@@ -150,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=[k.value for k in ExponentKind])
 
     sp = sub.add_parser("validate", help="run a named validation suite (JSON lines)")
-    common(sp, rho_required=False)
+    common(sp, required=False)
     sp.add_argument("--suite", type=str, required=True, choices=[
         "ks-self", "overshoot", "strip", "explosion-time", "occupation",
         "lemma", "perpetual", "entrance",
@@ -328,6 +317,12 @@ _SUITE_DEFAULT_N = {
 
 def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
     n = n if n is not None else _SUITE_DEFAULT_N[suite]
+
+    def params(default_alpha: float) -> StableParams:
+        return StableParams(alpha if alpha is not None else default_alpha,
+                            rho if rho is not None else 0.5)
+
+    t0 = time.perf_counter()
     outcomes = []
     if suite == "ks-self":
         gen = np.random.default_rng(seed)
@@ -339,34 +334,37 @@ def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
             threshold=0.02, name="ks_self_test", seed=seed,
         ))
     elif suite == "overshoot":
-        p = StableParams(alpha or 1.5, rho if rho is not None else 0.5)
+        p = params(1.5)
         res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=seed)
         cdf = _overshoot_cdf_callable(p, z=2.0, level=0.0)
-        outcomes.append(mc.ks_compare(
+        out = mc.ks_compare(
             res["depths"], cdf, threshold=0.02, name="overshoot_law", seed=seed,
             extras={"censored": res["censored"]},
-        ))
+        )
+        out.runtime_s = time.perf_counter() - t0  # the KS evaluation included
+        outcomes.append(out)
     elif suite == "strip":
-        p = StableParams(alpha or 0.7, rho if rho is not None else 0.5)
+        p = params(0.7)
         res = mc.strip_entry_samples(p, x0=2.0, half_width=1.0, n_paths=n, rng=seed)
         cdf = _strip_entry_cdf_callable(p, x0=2.0)
         out = mc.ks_compare(
             res["positions"], cdf, threshold=0.03, name="strip_entry_law", seed=seed,
             extras={"entry_fraction": res["entry_fraction"], "missed": res["missed"]},
         )
+        out.runtime_s = time.perf_counter() - t0
         outcomes.append(out)
     elif suite == "explosion-time":
-        p = StableParams(alpha or 0.5, rho if rho is not None else 0.5)
+        p = params(0.5)
         s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
         outcomes.append(_explosion_time_outcome(p, s, n, seed))
     elif suite == "occupation":
-        p = StableParams(alpha or 1.5, rho if rho is not None else 0.5)
+        p = params(1.5)
         s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
         outcomes.append(mc.occupation_vs_potential(
             p, s, x0=0.5, window=(1.0, 2.0), n_paths=n, rng=seed,
         ))
     elif suite == "lemma":
-        p = StableParams(alpha or 1.2, rho if rho is not None else 0.5)
+        p = params(1.2)
         outcomes.append(mc.occupation_potential_lemma(p, n_paths=n, rng=seed))
     elif suite == "perpetual":
         outcomes.append(mc.perpetual_integral_law(
@@ -378,7 +376,7 @@ def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
             expect="infinite", name="perpetual_integral_harmonic",
         ))
     elif suite == "entrance":
-        p = StableParams(alpha or 1.5, rho if rho is not None else 0.5)
+        p = params(1.5)
         s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
         outcomes.append(mc.entrance_proxy(
             p, s, level=10.0, starts=(100.0, 1000.0), n_paths=n, rng=seed,
@@ -406,11 +404,9 @@ def _strip_entry_cdf_callable(p: StableParams, x0: float):
 
 
 def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
-    import time as _time
-
     from .sde_timechange import explosion_estimate
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     target = expected_explosion_time(p, s, 0.0).value
     est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
     samples = est.plateaued_samples
@@ -424,7 +420,7 @@ def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
         passed=rel <= 0.05,
         n_paths=n,
         seed=seed,
-        runtime_s=_time.perf_counter() - t0,
+        runtime_s=time.perf_counter() - t0,
         extras={
             "mc_mean": mean, "mc_se": se, "target": float(target),
             "plateau_fraction": est.plateau_fraction,
@@ -434,7 +430,6 @@ def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
 
 def _cmd_validate(ns) -> int:
     seed = ns.seed if ns.seed is not None else _env_seed()
-    _env_workers()  # validated; engine is vectorized, workers affect throughput only
     outcomes = _run_suite(ns.suite, seed, ns.n, ns.alpha, ns.rho, ns.sigma)
     lines = "\n".join(o.to_json_line() for o in outcomes)
     _emit(lines, ns.output)

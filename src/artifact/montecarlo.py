@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -180,22 +181,120 @@ def cdf_from_density(
 
 
 # ---------------------------------------------------------------------------
-# batching helpers
+# path engine
+
+# how a lane ended: its stop mask fired, its clock reached the horizon, or it
+# was still running after max_steps iterations
+_STOPPED, _HORIZON, _MAX_STEPS = 0, 1, 2
 
 
-def _gen_for_batch(rng, bi: int) -> tuple[np.random.Generator, int | None]:
+class _Ends(NamedTuple):
+    """The lanes of a walk in the order they ended, batch by batch."""
+
+    lane: np.ndarray  # index in 0..n_paths-1
+    x: np.ndarray  # final position
+    steps: np.ndarray  # steps taken (int64)
+    acc: np.ndarray | None  # accumulated sum, when an accumulator was given
+    code: np.ndarray  # _STOPPED, _HORIZON or _MAX_STEPS
+
+
+def _keyed(rng, key: int) -> np.random.Generator:
+    """The independent stream `key` of an integer seed; a Generator is used
+    as it is (then results depend on call order, not only on the seed)."""
     if isinstance(rng, np.random.Generator):
-        return rng, None
-    return stream(int(rng), bi), int(rng)
+        return rng
+    return stream(int(rng), key)
 
 
-def _batches(n_paths: int, batch: int):
-    done, bi = 0, 0
-    while done < n_paths:
-        m = min(batch, n_paths - done)
-        yield bi, m
-        done += m
-        bi += 1
+def _trapezoid(g):
+    return lambda x, x_new, dt: 0.5 * (g(x) + g(x_new)) * dt
+
+
+def _left_endpoint(g):
+    return lambda x, x_new, dt: dt * g(x)
+
+
+def _walk(
+    p: StableParams,
+    x0: float,
+    n_paths: int,
+    rng,
+    batch: int,
+    step,
+    stop,
+    *,
+    accumulate=None,
+    horizon: float = math.inf,
+    max_steps: int,
+    on_batch=None,
+) -> _Ends:
+    """Step n_paths lanes from x0, batch by batch on keyed streams.
+
+    Each iteration takes dt = step(x) (a scalar or one length per lane,
+    capped by the time left under a finite horizon), draws one increment per
+    lane, adds accumulate(x, x_new, dt) to the lane sums and ends the lanes
+    with stop(x_new), or whose clock reached the horizon.  Lanes still running
+    after max_steps iterations end with _MAX_STEPS.  on_batch() is called
+    after each batch.
+    """
+    timed = math.isfinite(horizon)
+    out = _Ends(
+        lane=np.empty(n_paths, dtype=np.int64),
+        x=np.empty(n_paths),
+        steps=np.empty(n_paths, dtype=np.int64),
+        acc=np.empty(n_paths) if accumulate is not None else None,
+        code=np.empty(n_paths, dtype=np.int8),
+    )
+    done = 0  # lanes ended so far; the next ones are written from here
+
+    def record(lane, x, acc, steps, code):
+        nonlocal done
+        end = done + lane.size
+        out.lane[done:end] = lane
+        out.x[done:end] = x
+        out.steps[done:end] = steps
+        out.code[done:end] = code
+        if acc is not None:
+            out.acc[done:end] = acc
+        done = end
+
+    for bi, first in enumerate(range(0, n_paths, batch)):
+        gen = _keyed(rng, bi)
+        m = min(batch, n_paths - first)
+        x = np.full(m, float(x0))
+        lane = np.arange(first, first + m)
+        t = np.zeros(m) if timed else None
+        acc = np.zeros(m) if accumulate is not None else None
+        for it in range(max_steps):
+            if x.size == 0:
+                break
+            dt = step(x)
+            if timed:
+                dt = np.minimum(dt, horizon - t)
+                t = t + dt
+            if np.ndim(dt):
+                x_new = x + sample_increment(p, dt, gen)
+            else:
+                x_new = x + sample_increment(p, dt, gen, size=x.size)
+            if acc is not None:
+                acc = acc + accumulate(x, x_new, dt)
+            x = x_new
+            stopped = stop(x)
+            ended = stopped | (t >= horizon) if timed else stopped
+            if np.any(ended):
+                code = np.where(stopped[ended], _STOPPED, _HORIZON) if timed else _STOPPED
+                record(lane[ended], x[ended], None if acc is None else acc[ended], it + 1, code)
+                keep = ~ended
+                x, lane = x[keep], lane[keep]
+                if timed:
+                    t = t[keep]
+                if acc is not None:
+                    acc = acc[keep]
+        if x.size:
+            record(lane, x, acc, max_steps, _MAX_STEPS)
+        if on_batch is not None:
+            on_batch()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +330,15 @@ def passage_overshoot_samples(
         raise OutOfRangeError("start must be above the passage level")
     al = p.alpha
     coef = base_step / band ** al
-    depths = []
-    censored = 0
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        t = np.zeros(m)
-        for _ in range(max_steps):
-            if x.size == 0:
-                break
-            d = x - level
-            dt = np.minimum(coef * d ** al, horizon - t)
-            x = x + sample_increment(p, dt, gen)
-            t = t + dt
-            crossed = x <= level
-            if np.any(crossed):
-                depths.append(level - x[crossed])
-            alive = ~crossed & (t < horizon)
-            censored += int(np.sum(~crossed & ~alive))
-            x, t = x[alive], t[alive]
-        else:
-            censored += x.size
-    depths = np.concatenate(depths) if depths else np.empty(0)
-    return {"depths": depths, "censored": censored, "n_paths": n_paths}
+    ends = _walk(
+        p, x0, n_paths, rng, batch,
+        lambda x: coef * (x - level) ** al,
+        lambda x: x <= level,
+        horizon=horizon, max_steps=max_steps,
+    )
+    crossed = ends.code == _STOPPED
+    return {"depths": level - ends.x[crossed], "censored": int(np.sum(~crossed)),
+            "n_paths": n_paths}
 
 
 def strip_entry_samples(
@@ -283,42 +368,22 @@ def strip_entry_samples(
     if abs(x0) <= a:
         raise OutOfRangeError("start must be outside the strip")
     al = p.alpha
-    positions, clocks = [], []
-    missed = 0
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        t = np.zeros(m)
-        clk = np.zeros(m)
-        for _ in range(max_steps):
-            if x.size == 0:
-                break
-            d = np.abs(x) - a
-            dt = np.minimum(base_step + step_coef * d ** al, horizon - t)
-            if sigma is not None:
-                f_old = np.asarray(sigma(x), dtype=float) ** (-al)
-            x_new = x + sample_increment(p, dt, gen)
-            if sigma is not None:
-                f_new = np.asarray(sigma(x_new), dtype=float) ** (-al)
-                clk = clk + 0.5 * (f_old + f_new) * dt
-            else:
-                clk = clk + dt
-            t = t + dt
-            entered = np.abs(x_new) < a
-            if np.any(entered):
-                positions.append(x_new[entered])
-                clocks.append(clk[entered])
-            alive = ~entered & (t < horizon)
-            missed += int(np.sum(~entered & ~alive))
-            x, t, clk = x_new[alive], t[alive], clk[alive]
-        else:
-            missed += x.size
-    positions = np.concatenate(positions) if positions else np.empty(0)
-    clocks = np.concatenate(clocks) if clocks else np.empty(0)
+    if sigma is None:
+        clock = lambda x, x_new, dt: dt
+    else:
+        clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
+    ends = _walk(
+        p, x0, n_paths, rng, batch,
+        lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
+        lambda x: np.abs(x) < a,
+        accumulate=clock, horizon=horizon, max_steps=max_steps,
+    )
+    entered = ends.code == _STOPPED
+    positions = ends.x[entered]
     return {
         "positions": positions,
-        "clocks": clocks,
-        "missed": missed,
+        "clocks": ends.acc[entered],
+        "missed": int(np.sum(~entered)),
         "n_paths": n_paths,
         "entry_fraction": positions.size / n_paths,
     }
@@ -353,49 +418,29 @@ def origin_kill_occupation(
     w0, w1 = float(window[0]), float(window[1])
     al = p.alpha
     floor = step_coef * kill_eps ** al
-    occs, kill_count, alive_count = [], 0, 0
     near_edge = 2.0 * max(abs(w0), abs(w1), 1.0)
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        t = np.zeros(m)
-        occ = np.zeros(m)
 
-        def _weight(z):
-            inside = (z >= w0) & (z <= w1)
-            out = np.zeros_like(z)
-            if np.any(inside):
-                out[inside] = np.asarray(sigma(z[inside]), dtype=float) ** (-al)
-            return out
+    def step(x):
+        ax = np.abs(x)
+        dt = np.maximum(step_coef * ax ** al, floor)
+        return np.where(ax <= near_edge, np.minimum(dt, near_cap), dt)
 
-        for _ in range(max_steps):
-            if x.size == 0:
-                break
-            ax = np.abs(x)
-            dt = np.maximum(step_coef * ax ** al, floor)
-            dt = np.where(ax <= near_edge, np.minimum(dt, near_cap), dt)
-            dt = np.minimum(dt, horizon - t)
-            g_old = _weight(x)
-            x_new = x + sample_increment(p, dt, gen)
-            occ = occ + 0.5 * (g_old + _weight(x_new)) * dt
-            t = t + dt
-            killed = np.abs(x_new) <= kill_eps
-            timed_out = ~killed & (t >= horizon)
-            finished = killed | timed_out
-            if np.any(finished):
-                occs.append(occ[finished])
-                kill_count += int(np.sum(killed))
-                alive_count += int(np.sum(timed_out))
-            keep = ~finished
-            x, t, occ = x_new[keep], t[keep], occ[keep]
-        if x.size:
-            occs.append(occ)
-            alive_count += x.size
-    occs = np.concatenate(occs) if occs else np.empty(0)
+    def weight(z):
+        inside = (z >= w0) & (z <= w1)
+        out = np.zeros_like(z)
+        if np.any(inside):
+            out[inside] = np.asarray(sigma(z[inside]), dtype=float) ** (-al)
+        return out
+
+    ends = _walk(
+        p, x0, n_paths, rng, batch, step, lambda x: np.abs(x) <= kill_eps,
+        accumulate=_trapezoid(weight), horizon=horizon, max_steps=max_steps,
+    )
+    killed = int(np.sum(ends.code == _STOPPED))
     return {
-        "occupations": occs,
-        "killed": kill_count,
-        "alive": alive_count,
+        "occupations": ends.acc,
+        "killed": killed,
+        "alive": ends.code.size - killed,
         "n_paths": n_paths,
     }
 
@@ -423,35 +468,20 @@ def interval_exit_occupation(
     """
     if not (lo < x0 < hi):
         raise OutOfRangeError("start must be inside the interval")
-    steps_out, exits_out, sums_out = [], [], []
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        n_steps = np.zeros(m, dtype=np.int64)
-        acc = np.zeros(m) if weight is not None else None
-        for _ in range(max_steps):
-            if x.size == 0:
-                break
-            if weight is not None:
-                acc = acc + step * np.asarray(weight(x), dtype=float)
-            x = x + sample_increment(p, float(step), gen, size=x.size)
-            n_steps = n_steps + 1
-            out = (x <= lo) | (x >= hi)
-            if np.any(out):
-                steps_out.append(n_steps[out])
-                exits_out.append(x[out])
-                if weight is not None:
-                    sums_out.append(acc[out])
-            keep = ~out
-            x, n_steps = x[keep], n_steps[keep]
-            if weight is not None:
-                acc = acc[keep]
-        if x.size:
-            raise RuntimeError("interval exit did not complete within max_steps")
+    ends = _walk(
+        p, x0, n_paths, rng, batch,
+        lambda x: float(step),
+        lambda x: (x <= lo) | (x >= hi),
+        accumulate=None if weight is None else _left_endpoint(
+            lambda x: np.asarray(weight(x), dtype=float)),
+        max_steps=max_steps,
+    )
+    if np.any(ends.code == _MAX_STEPS):
+        raise RuntimeError("interval exit did not complete within max_steps")
     return {
-        "steps": np.concatenate(steps_out) if steps_out else np.empty(0, dtype=np.int64),
-        "exit_positions": np.concatenate(exits_out) if exits_out else np.empty(0),
-        "weighted_sums": np.concatenate(sums_out) if sums_out else None,
+        "steps": ends.steps,
+        "exit_positions": ends.x,
+        "weighted_sums": ends.acc,
         "n_paths": n_paths,
         "step": float(step),
     }
@@ -476,31 +506,24 @@ def exit_interval_samples(
     if not (lo < x0 < hi):
         raise OutOfRangeError("start must be inside the interval")
     al = p.alpha
-    exits, zero_hits = [], 0
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        for _ in range(max_steps):
-            if x.size == 0:
-                break
-            d = np.minimum(x - lo, hi - x)
-            if kill_eps is not None:
-                d = np.minimum(d, np.abs(x))
-            dt = base_step + step_coef * np.maximum(d, 0.0) ** al
-            x = x + sample_increment(p, dt, gen)
-            out = (x <= lo) | (x >= hi)
-            killed = np.zeros_like(out)
-            if kill_eps is not None:
-                killed = ~out & (np.abs(x) <= kill_eps)
-                zero_hits += int(np.sum(killed))
-            if np.any(out):
-                exits.append(x[out])
-            x = x[~out & ~killed]
-        if x.size:
-            raise RuntimeError("interval exit did not complete within max_steps")
+
+    def step(x):
+        d = np.minimum(x - lo, hi - x)
+        if kill_eps is not None:
+            d = np.minimum(d, np.abs(x))
+        return base_step + step_coef * np.maximum(d, 0.0) ** al
+
+    def outside(x):
+        return (x <= lo) | (x >= hi)
+
+    stop = outside if kill_eps is None else (lambda x: outside(x) | (np.abs(x) <= kill_eps))
+    ends = _walk(p, x0, n_paths, rng, batch, step, stop, max_steps=max_steps)
+    if np.any(ends.code == _MAX_STEPS):
+        raise RuntimeError("interval exit did not complete within max_steps")
+    exited = outside(ends.x)
     return {
-        "exit_positions": np.concatenate(exits) if exits else np.empty(0),
-        "zero_hits": zero_hits,
+        "exit_positions": ends.x[exited],
+        "zero_hits": int(np.sum(~exited)),
         "n_paths": n_paths,
     }
 
@@ -558,9 +581,6 @@ def occupation_vs_potential(
     )
 
 
-_H_GRID_CACHE: dict = {}
-
-
 def _hitting_grid(n_interior: int = 81, n_edge: int = 9) -> np.ndarray:
     inner = np.linspace(-0.9, 0.9, n_interior)
     off = 0.1 * 2.0 ** (-np.arange(1, n_edge + 1, dtype=float))
@@ -598,59 +618,49 @@ def occupation_potential_lemma(
         raise OutOfRangeError("a must be an integer multiple of step")
     nodes = _hitting_grid()
     nodes = nodes[(nodes > lo) & (nodes < hi)]
-    # --- stage 1: h_a on the grid (cached per parameter set)
-    cache_key = (
-        p.alpha, p.rho, lo, hi, step, k_cap, grid_paths,
-        int(rng) if not isinstance(rng, np.random.Generator) else None,
-    )
-    cached = _H_GRID_CACHE.get(cache_key)
-    if cached is not None:
-        h_hat, h_var = cached
-    else:
-        h_hat = np.empty(nodes.size)
-        h_var = np.empty(nodes.size)
-        for j, y in enumerate(nodes):
-            res = interval_exit_occupation(
-                p, float(y), lo, hi, step, grid_paths, rng=_subseed(rng, 1000 + j),
-                batch=grid_paths,
-            )
-            ph = float(np.mean(res["steps"] <= k_cap))
-            h_hat[j] = ph
-            h_var[j] = ph * (1.0 - ph) / grid_paths
-        if cache_key[-1] is not None:
-            _H_GRID_CACHE[cache_key] = (h_hat, h_var)
+    # --- stage 1: h_a on the grid
+    h_hat = np.empty(nodes.size)
+    h_var = np.empty(nodes.size)
+    for j, y in enumerate(nodes):
+        res = interval_exit_occupation(
+            p, float(y), lo, hi, step, grid_paths, rng=_keyed(rng, 1000 + j),
+            batch=grid_paths,
+        )
+        ph = float(np.mean(res["steps"] <= k_cap))
+        h_hat[j] = ph
+        h_var[j] = ph * (1.0 - ph) / grid_paths
 
     # --- stage 2: main run accumulating both sides on the same paths
     idx_w = np.zeros(nodes.size)  # mean accumulated interp weight per node
-    diffs = []
-    for bi, m in _batches(n_paths, batch):
-        gen, _ = _gen_for_batch(rng, bi)
-        x = np.full(m, float(x0))
-        n_steps = np.zeros(m, dtype=np.int64)
-        acc = np.zeros(m)
-        w_batch = np.zeros(nodes.size)
-        order = np.arange(m)
-        lhs = np.empty(m)
-        rhs = np.empty(m)
-        while x.size:
-            j = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
-            lam = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
-            lam = np.clip(lam, 0.0, 1.0)
-            acc = acc + step * ((1.0 - lam) * h_hat[j] + lam * h_hat[j + 1])
-            np.add.at(w_batch, j, step * (1.0 - lam))
-            np.add.at(w_batch, j + 1, step * lam)
-            x = x + sample_increment(p, float(step), gen, size=x.size)
-            n_steps = n_steps + 1
-            out = (x <= lo) | (x >= hi)
-            if np.any(out):
-                done = order[out]
-                lhs[done] = step * np.minimum(n_steps[out], k_cap)
-                rhs[done] = acc[out]
-            keep = ~out
-            x, n_steps, acc, order = x[keep], n_steps[keep], acc[keep], order[keep]
-        diffs.append(lhs - rhs)
-        idx_w += w_batch / n_paths
-    d = np.concatenate(diffs)
+    w_batch = np.zeros(nodes.size)
+
+    def h_interp(x):
+        # h_a at x by linear interpolation; the node weights go into w_batch
+        j = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
+        lam = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
+        lam = np.clip(lam, 0.0, 1.0)
+        np.add.at(w_batch, j, step * (1.0 - lam))
+        np.add.at(w_batch, j + 1, step * lam)
+        return (1.0 - lam) * h_hat[j] + lam * h_hat[j + 1]
+
+    def flush():
+        # batch means summed in batch order: fixed-seed statistics depend on it
+        idx_w[:] += w_batch / n_paths
+        w_batch[:] = 0.0
+
+    ends = _walk(
+        p, x0, n_paths, rng, batch,
+        lambda x: float(step),
+        lambda x: (x <= lo) | (x >= hi),
+        accumulate=_left_endpoint(h_interp), max_steps=2_000_000, on_batch=flush,
+    )
+    if np.any(ends.code == _MAX_STEPS):
+        raise RuntimeError("interval exit did not complete within max_steps")
+    lhs = np.empty(n_paths)
+    rhs = np.empty(n_paths)
+    lhs[ends.lane] = step * np.minimum(ends.steps, k_cap)
+    rhs[ends.lane] = ends.acc
+    d = lhs - rhs
     mean_d = float(np.mean(d))
     var_mc = float(np.var(d, ddof=1)) / d.size
     var_grid = float(np.sum(idx_w ** 2 * h_var))
@@ -675,15 +685,9 @@ def occupation_potential_lemma(
     )
 
 
-def _subseed(rng, j: int):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return stream(int(rng), j)
-
-
 def perpetual_integral_law(
-    drift: float = 1.0,
-    f=None,
+    drift: float,
+    f,
     n_paths: int = 5_000,
     horizon: float = 200.0,
     step: float = 0.02,
@@ -700,14 +704,12 @@ def perpetual_integral_law(
     expect="finite": plateau fraction >= 0.99; for expect="infinite":
     fraction <= 0.01.  The statistic is oriented so pass == statistic <= 0.
     """
-    if f is None:
-        f = np.exp  # placeholder; callers always pass f
     if expect not in ("finite", "infinite"):
         raise OutOfRangeError("expect must be 'finite' or 'infinite'")
     t0 = time.perf_counter()
     n_steps = int(round(horizon / step))
     k_decade = int(round(n_steps / 10))
-    gen = rng if isinstance(rng, np.random.Generator) else stream(int(rng), 0)
+    gen = _keyed(rng, 0)
     xi = np.zeros(n_paths)
     integral = np.zeros(n_paths)
     snapshot = np.zeros(n_paths)
@@ -778,7 +780,7 @@ def entrance_proxy(
     medians = []
     for j, x0 in enumerate(admissible):
         res = strip_entry_samples(
-            p, float(x0), level, n_paths, rng=_subseed(rng, 2000 + j),
+            p, float(x0), level, n_paths, rng=_keyed(rng, 2000 + j),
             sigma=s, **kernel_kwargs,
         )
         if res["clocks"].size < MIN_KS_SAMPLES:

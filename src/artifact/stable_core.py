@@ -132,9 +132,6 @@ class StableParams:
                 raise InconsistentRhoError(
                     f"for alpha={a} rho must lie in [{lo:.6f}, {hi:.6f}], got {r}"
                 )
-        if a < 1.0 and r in (0.0, 1.0):
-            # monotone members: fine, but note rho=1 means increasing.
-            pass
 
     @property
     def rho_hat(self) -> float:
@@ -178,7 +175,6 @@ def char_exponent(p: StableParams, z):
     """Characteristic exponent Psi(z) = |z|^alpha exp(i theta sgn z), theta =
     pi alpha (1/2 - rho).  Vectorized over real z; Psi(0) = 0 exactly."""
     z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=complex)
     mag = np.abs(z) ** p.alpha
     out = mag * np.exp(1j * p.theta * np.sign(z))
     out = np.where(z == 0.0, 0.0 + 0.0j, out)

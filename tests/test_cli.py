@@ -184,6 +184,26 @@ def test_validate_unknown_suite_usage_error(capsys):
     assert code == 2
 
 
+def test_validate_alpha_zero_is_usage_error(capsys):
+    code, out, err = _run(capsys, "validate", "--suite", "overshoot", "--alpha", "0",
+                          "--n", "200")
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err
+
+
+def test_validate_alpha_optional(capsys):
+    code, out, _ = _run(capsys, "validate", "--suite", "ks-self", "--n", "2000")
+    assert code == 0
+    assert json.loads(out)["name"] == "ks_self_test"
+
+
+@pytest.mark.parametrize("suite", ["overshoot", "strip"])
+def test_ks_suites_report_runtime(suite):
+    (out,) = cli._run_suite(suite, 0, 300, None, None, None)
+    assert out.runtime_s > 0
+
+
 # ---------------------------------------------------------------------------
 # parser-level behavior and environment overrides
 
@@ -203,11 +223,3 @@ def test_env_seed_override(capsys, monkeypatch):
     _, out, _ = _run(capsys, "validate", "--suite", "ks-self",
                      "--alpha", "1.5", "--rho", "0.5", "--n", "2000")
     assert json.loads(out)["seed"] == 7
-
-
-def test_env_workers_validated(capsys, monkeypatch):
-    monkeypatch.setenv("ARTIFACT_WORKERS", "zero")
-    code, _, err = _run(capsys, "validate", "--suite", "ks-self",
-                        "--alpha", "1.5", "--rho", "0.5", "--n", "2000")
-    assert code == 2
-    assert "ARTIFACT_WORKERS" in err

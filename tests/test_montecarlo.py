@@ -112,6 +112,94 @@ def test_exit_interval_support_and_determinism():
     np.testing.assert_array_equal(a["exit_positions"], b["exit_positions"])
 
 
+def _reference_overshoot(p, x0, level, n_paths, seed, coef, horizon, max_steps, batch):
+    """The hand-written stepping loop the path engine replaced."""
+    from artifact.stable_core import sample_increment, stream
+
+    depths, censored = [], 0
+    for bi, first in enumerate(range(0, n_paths, batch)):
+        gen = stream(seed, bi)
+        x = np.full(min(batch, n_paths - first), x0)
+        t = np.zeros(x.size)
+        for _ in range(max_steps):
+            if x.size == 0:
+                break
+            dt = np.minimum(coef * (x - level) ** p.alpha, horizon - t)
+            x = x + sample_increment(p, dt, gen)
+            t = t + dt
+            crossed = x <= level
+            depths.append(level - x[crossed])
+            alive = ~crossed & (t < horizon)
+            censored += int(np.sum(~crossed & ~alive))
+            x, t = x[alive], t[alive]
+        censored += x.size
+    return np.concatenate(depths), censored
+
+
+@pytest.mark.parametrize("horizon, max_steps", [(1e6, 10_000_000), (0.05, 10_000_000),
+                                                (1e6, 40)])
+def test_overshoot_engine_matches_reference_loop(horizon, max_steps):
+    p = StableParams(1.3, 0.4)
+    res = mc.passage_overshoot_samples(p, 2.0, 0.0, 700, rng=2, horizon=horizon,
+                                       max_steps=max_steps, batch=300)
+    depths, censored = _reference_overshoot(p, 2.0, 0.0, 700, 2, 1e-4 / 0.1 ** 1.3,
+                                            horizon, max_steps, 300)
+    assert res["censored"] == censored
+    np.testing.assert_array_equal(res["depths"], depths)
+
+
+def test_interval_exit_unit_weight_sums_are_exit_times():
+    out = mc.interval_exit_occupation(StableParams(1.2, 0.5), 0.1, -1.0, 1.0, 2e-3, 500,
+                                      rng=4, weight=np.ones_like, batch=200)
+    assert np.all(out["steps"] >= 1)
+    np.testing.assert_allclose(out["weighted_sums"], out["steps"] * 2e-3, rtol=1e-9)
+
+
+# how each kernel reports paths that end at the horizon, run out of steps or
+# are killed
+
+
+def test_overshoot_tiny_horizon_censors_all():
+    out = mc.passage_overshoot_samples(StableParams(1.5, 0.5), x0=2.0, level=0.0,
+                                       n_paths=300, rng=0, horizon=1e-6)
+    assert out["censored"] == 300
+    assert out["depths"].size == 0
+
+
+def test_strip_out_of_steps_counts_as_missed():
+    out = mc.strip_entry_samples(StableParams(0.7, 0.5), x0=50.0, half_width=1.0,
+                                 n_paths=200, rng=0, max_steps=1)
+    assert out["missed"] == 200
+    assert out["positions"].size == 0 and out["clocks"].size == 0
+
+
+def test_occupation_tiny_horizon_keeps_every_path():
+    s = parse_sigma_spec("power:c=1,theta=2")
+    out = mc.origin_kill_occupation(StableParams(1.5, 0.5), 0.5, s, (1.0, 2.0),
+                                    n_paths=200, rng=0, horizon=1e-6)
+    assert out["alive"] == 200 and out["killed"] == 0
+    assert out["occupations"].size == 200
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda p: mc.exit_interval_samples(p, 0.2, n_paths=100, rng=0, max_steps=1),
+    lambda p: mc.interval_exit_occupation(p, 0.2, -1.0, 1.0, 2e-3, 100, rng=0,
+                                          max_steps=1),
+])
+def test_interval_exit_out_of_steps_raises(kernel):
+    with pytest.raises(RuntimeError, match="max_steps"):
+        kernel(StableParams(1.5, 0.5))
+
+
+def test_exit_interval_kill_accounts_for_every_path():
+    out = mc.exit_interval_samples(StableParams(1.5, 0.5), 0.3, n_paths=400, rng=1,
+                                   kill_eps=1e-2)
+    exits = out["exit_positions"].size
+    assert out["zero_hits"] > 0 and exits > 0
+    assert out["zero_hits"] + exits == 400
+    assert np.all(np.abs(out["exit_positions"]) >= 1.0)
+
+
 def test_occupation_vs_potential_small_n():
     p = StableParams(1.5, 0.5)
     s = parse_sigma_spec("power:c=1,theta=2")
