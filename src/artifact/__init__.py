@@ -100,7 +100,6 @@ from .transforms import (
     exponent_eval,
     lamperti_forward,
     lamperti_inverse,
-    loggamma_lanczos,
     mean_at_one,
 )
 

@@ -125,43 +125,17 @@ def _check_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature building blocks
+# the finiteness path shared by both functionals
+#
+# A functional is given by ``half(sign)``, which returns its integrand g on
+# [1, inf) and a callable giving (value, error) of its head over [0, 1] on the
+# half-line of that sign, and by ``tail(theta, q)``: for sigma ~ |x|^theta
+# (log|x|)^q, the integrand's tail is x^{-(1+d)} (log x)^{-m} and tail returns
+# (d, m, rate), rate being the tail exponent reported for a divergence.  d is
+# kept apart from e = 1 + d because 1 + d rounds to 1 once |d| < 1.1e-16.
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
-
-
-def _half_integral_value(s: SigmaFunction, alpha: float, positive: bool) -> tuple[float, float]:
-    """Numeric value of int_0^inf sigma(+/- x)^{-alpha} x^{alpha-1} dx.
-
-    Head [0,1] via the substitution u = x^alpha (removes the x^{alpha-1}
-    endpoint singularity); tail [1, inf) straight to QUADPACK's infinite
-    transform.  Returns (value, error_estimate).
-    """
-    sign = 1.0 if positive else -1.0
-
-    def head(u):
-        x = u ** (1.0 / alpha)
-        return s(sign * x) ** (-alpha) / alpha
-
-    def tail(x):
-        return s(sign * x) ** (-alpha) * x ** (alpha - 1.0)
-
-    v1, e1 = integrate.quad(head, 0.0, 1.0, **_QUAD_KW)
-    v2, e2 = integrate.quad(tail, 1.0, np.inf, **_QUAD_KW)
-    return v1 + v2, e1 + e2
-
-
-def _decade_piece(s: SigmaFunction, alpha: float, positive: bool, k: int) -> float:
-    """int over [10^k, 10^{k+1}] of the I-integrand, log-substituted."""
-    sign = 1.0 if positive else -1.0
-    ln10 = math.log(10.0)
-
-    def f(t):
-        x = 10.0 ** t
-        return s(sign * x) ** (-alpha) * x ** (alpha - 1.0) * x * ln10
-
-    v, _ = integrate.quad(f, k, k + 1, **_QUAD_KW)
-    return v
+_METHODS = ("auto", "analytic_tail", "adaptive_quadrature")
 
 
 def _structural_tail(s: SigmaFunction, positive: bool) -> tuple[str, float | None, float | None]:
@@ -188,39 +162,50 @@ def _structural_tail(s: SigmaFunction, positive: bool) -> tuple[str, float | Non
     return "power", float(t), None
 
 
-def _half_verdict_analytic(
-    s: SigmaFunction, alpha: float, positive: bool
-) -> FinitenessVerdict | None:
-    """Tail-exponent rule for one half-line, or None when no structure."""
-    domain = Domain.POS_HALF if positive else Domain.NEG_HALF
-    kind, theta, q = _structural_tail(s, positive)
-    if kind == "unknown":
-        return None
-    rate = alpha - 1.0 - alpha * theta  # integrand tail exponent
-    if theta > 1.0:
-        value, err = _half_integral_value(s, alpha, positive)
-        return FinitenessVerdict(
-            "finite", domain, Method.ANALYTIC_TAIL, value=value, error_estimate=err
-        )
-    if theta < 1.0:
-        return FinitenessVerdict(
-            "infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate
-        )
-    # theta == 1: bare power diverges logarithmically; a log factor decides
-    if kind == "logpower" and q is not None and alpha * q > 1.0:
-        value, err = _half_integral_value(s, alpha, positive)
-        return FinitenessVerdict(
-            "finite", domain, Method.ANALYTIC_TAIL, value=value, error_estimate=err
-        )
-    return FinitenessVerdict(
-        "infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=-1.0
-    )
+def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> FinitenessVerdict:
+    """Finiteness verdict of the functional (half, tail) over domain; method
+    is as for integral_I, decided per half-line."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if domain == Domain.FULL_LINE:
+        left = _finiteness(s, Domain.NEG_HALF, method, half, tail)
+        right = _finiteness(s, Domain.POS_HALF, method, half, tail)
+        return _combine(left, right)
+    positive = domain == Domain.POS_HALF
+    g, head = half(1.0 if positive else -1.0)
+    if method != "adaptive_quadrature":
+        kind, theta, q = _structural_tail(s, positive)
+        if kind != "unknown":
+            return _tail_rule(g, head, domain, *tail(theta, 0.0 if q is None else q))
+        if method == "analytic_tail":
+            return FinitenessVerdict("undecided", domain, Method.ANALYTIC_TAIL)
+    return _ladder(g, head, domain)
 
 
-def _half_verdict_ladder(s: SigmaFunction, alpha: float, positive: bool) -> FinitenessVerdict:
+def _tail_rule(g, head, domain: Domain, d: float, m: float, rate: float) -> FinitenessVerdict:
+    """x^{-(1+d)} (log x)^{-m} is integrable at infinity iff d > 0, or d == 0
+    and m > 1; a finite integral is then evaluated by quadrature."""
+    if d > 0.0 or (d == 0.0 and m > 1.0):
+        v1, e1 = head()
+        v2, e2 = integrate.quad(g, 1.0, np.inf, **_QUAD_KW)
+        return FinitenessVerdict(
+            "finite", domain, Method.ANALYTIC_TAIL, value=v1 + v2, error_estimate=e1 + e2
+        )
+    return FinitenessVerdict("infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate)
+
+
+def _ladder(g, head, domain: Domain) -> FinitenessVerdict:
     """Decade ladder [1, 1e8] with geometric (Richardson-type) extrapolation."""
-    domain = Domain.POS_HALF if positive else Domain.NEG_HALF
-    pieces = [_decade_piece(s, alpha, positive, k) for k in range(8)]
+    ln10 = math.log(10.0)
+
+    def piece(k):
+        def f(t):  # the integral over [10^k, 10^{k+1}], log-substituted
+            x = 10.0 ** t
+            return g(x) * x * ln10
+
+        return integrate.quad(f, k, k + 1, **_QUAD_KW)[0]
+
+    pieces = [piece(k) for k in range(8)]
     ratios = [
         pieces[i + 1] / pieces[i] for i in range(len(pieces) - 1) if pieces[i] > 0
     ]
@@ -234,14 +219,8 @@ def _half_verdict_ladder(s: SigmaFunction, alpha: float, positive: bool) -> Fini
             "infinite", domain, Method.ADAPTIVE_QUADRATURE, divergence_rate=fitted_e
         )
     if fitted_e <= -1.05:
-        head, ehead = integrate.quad(
-            lambda u: s((1.0 if positive else -1.0) * u ** (1.0 / alpha)) ** (-alpha)
-            / alpha,
-            0.0,
-            1.0,
-            **_QUAD_KW,
-        )
-        body = head + sum(pieces)
+        vhead, ehead = head()
+        body = vhead + sum(pieces)
         tail_extrap = pieces[-1] * rbar / (1.0 - rbar)
         spread = max(tail_ratios) - min(tail_ratios)
         extrap_err = abs(pieces[-1]) * spread / (1.0 - rbar) ** 2 + ehead
@@ -254,8 +233,32 @@ def _half_verdict_ladder(s: SigmaFunction, alpha: float, positive: bool) -> Fini
                 value=value,
                 error_estimate=extrap_err,
             )
-        return FinitenessVerdict("undecided", domain, Method.ADAPTIVE_QUADRATURE)
     return FinitenessVerdict("undecided", domain, Method.ADAPTIVE_QUADRATURE)
+
+
+def _combine(left: FinitenessVerdict, right: FinitenessVerdict) -> FinitenessVerdict:
+    """Full-line verdict from the two half-lines: infinite if either is, with
+    the method of the half-line that decided it (or that left it undecided)."""
+    if left.status == "infinite" or right.status == "infinite":
+        rates = [
+            v.divergence_rate
+            for v in (left, right)
+            if v.status == "infinite" and v.divergence_rate is not None
+        ]
+        used = left.method if left.status == "infinite" else right.method
+        return FinitenessVerdict(
+            "infinite", Domain.FULL_LINE, used, divergence_rate=max(rates)
+        )
+    if left.finite and right.finite:
+        return FinitenessVerdict(
+            "finite",
+            Domain.FULL_LINE,
+            left.method if left.method == right.method else Method.ADAPTIVE_QUADRATURE,
+            value=left.value + right.value,
+            error_estimate=left.error_estimate + right.error_estimate,
+        )
+    open_half = left if left.status == "undecided" else right
+    return FinitenessVerdict("undecided", Domain.FULL_LINE, open_half.method)
 
 
 def integral_I(
@@ -269,44 +272,27 @@ def integral_I(
     returns undecided when no tail structure exists).
     """
     alpha = _check_alpha(alpha)
-    if domain == Domain.FULL_LINE:
-        left = integral_I(s, alpha, Domain.NEG_HALF, method)
-        right = integral_I(s, alpha, Domain.POS_HALF, method)
-        if left.status == "infinite" or right.status == "infinite":
-            rates = [
-                v.divergence_rate
-                for v in (left, right)
-                if v.status == "infinite" and v.divergence_rate is not None
-            ]
-            used = left.method if left.status == "infinite" else right.method
-            return FinitenessVerdict(
-                "infinite", Domain.FULL_LINE, used, divergence_rate=max(rates)
+
+    def half(sign):
+        def g(x):
+            return s(sign * x) ** (-alpha) * x ** (alpha - 1.0)
+
+        def head():
+            # u = x^alpha removes the x^{alpha-1} endpoint singularity
+            return integrate.quad(
+                lambda u: s(sign * u ** (1.0 / alpha)) ** (-alpha) / alpha,
+                0.0,
+                1.0,
+                **_QUAD_KW,
             )
-        if left.finite and right.finite:
-            return FinitenessVerdict(
-                "finite",
-                Domain.FULL_LINE,
-                left.method if left.method == right.method else Method.ADAPTIVE_QUADRATURE,
-                value=left.value + right.value,
-                error_estimate=left.error_estimate + right.error_estimate,
-            )
-        return FinitenessVerdict(
-            "undecided", Domain.FULL_LINE, Method.ADAPTIVE_QUADRATURE
-        )
-    positive = domain == Domain.POS_HALF
-    if method == "auto":
-        verdict = _half_verdict_analytic(s, alpha, positive)
-        if verdict is not None:
-            return verdict
-        return _half_verdict_ladder(s, alpha, positive)
-    if method == "analytic_tail":
-        verdict = _half_verdict_analytic(s, alpha, positive)
-        if verdict is None:
-            return FinitenessVerdict("undecided", domain, Method.ANALYTIC_TAIL)
-        return verdict
-    if method == "adaptive_quadrature":
-        return _half_verdict_ladder(s, alpha, positive)
-    raise ValueError(f"unknown method {method!r}")
+
+        return g, head
+
+    def tail(theta, q):
+        # sigma^{-alpha} x^{alpha-1} ~ x^{-(1 + alpha(theta-1))} (log x)^{-alpha q}
+        return alpha * (theta - 1.0), alpha * q, alpha - 1.0 - alpha * theta
+
+    return _finiteness(s, domain, method, half, tail)
 
 
 def integral_log(s: SigmaFunction, method: str = "auto") -> FinitenessVerdict:
@@ -315,94 +301,17 @@ def integral_log(s: SigmaFunction, method: str = "auto") -> FinitenessVerdict:
     The integrand is locally integrable near the origin for any admissible
     sigma, so finiteness is a pure tail question; the reported value is the
     positive-part integral int sigma(x)^{-1} log_+|x| dx (always > 0), which
-    carries the same finiteness content.
+    carries the same finiteness content.  method is as for integral_I.
     """
-    # structural rule: sigma ~ |x|^theta (log^q): integrand ~ x^{-theta} log x
-    verdicts = []
-    for positive in (True, False):
-        domain = Domain.POS_HALF if positive else Domain.NEG_HALF
-        kind, theta, q = _structural_tail(s, positive)
-        if kind == "unknown" or method == "adaptive_quadrature":
-            verdicts.append(_log_ladder(s, positive))
-            continue
-        if theta > 1.0 or (theta == 1.0 and kind == "logpower" and q is not None and q > 2.0):
-            value, err = _log_half_value(s, positive)
-            verdicts.append(
-                FinitenessVerdict(
-                    "finite", domain, Method.ANALYTIC_TAIL, value=value, error_estimate=err
-                )
-            )
-        else:
-            verdicts.append(
-                FinitenessVerdict(
-                    "infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=-theta
-                )
-            )
-    right, left = verdicts
-    if left.status == "infinite" or right.status == "infinite":
-        rates = [
-            v.divergence_rate
-            for v in (left, right)
-            if v.status == "infinite" and v.divergence_rate is not None
-        ]
-        return FinitenessVerdict(
-            "infinite", Domain.FULL_LINE, Method.ANALYTIC_TAIL, divergence_rate=max(rates)
-        )
-    if left.finite and right.finite:
-        return FinitenessVerdict(
-            "finite",
-            Domain.FULL_LINE,
-            left.method,
-            value=left.value + right.value,
-            error_estimate=left.error_estimate + right.error_estimate,
-        )
-    return FinitenessVerdict("undecided", Domain.FULL_LINE, Method.ADAPTIVE_QUADRATURE)
 
+    def half(sign):
+        return (lambda x: math.log(x) / s(sign * x)), (lambda: (0.0, 0.0))
 
-def _log_half_value(s: SigmaFunction, positive: bool) -> tuple[float, float]:
-    sign = 1.0 if positive else -1.0
+    def tail(theta, q):
+        # sigma^{-1} log x ~ x^{-theta} (log x)^{-(q-1)}
+        return theta - 1.0, q - 1.0, -theta
 
-    def f(x):
-        return math.log(x) / s(sign * x)
-
-    v, e = integrate.quad(f, 1.0, np.inf, **_QUAD_KW)
-    return v, e
-
-
-def _log_ladder(s: SigmaFunction, positive: bool) -> FinitenessVerdict:
-    domain = Domain.POS_HALF if positive else Domain.NEG_HALF
-    sign = 1.0 if positive else -1.0
-    ln10 = math.log(10.0)
-    pieces = []
-    for k in range(8):
-        v, _ = integrate.quad(
-            lambda t: math.log(10.0 ** t) / s(sign * 10.0 ** t) * 10.0 ** t * ln10,
-            k,
-            k + 1,
-            **_QUAD_KW,
-        )
-        pieces.append(v)
-    ratios = [pieces[i + 1] / pieces[i] for i in range(len(pieces) - 1) if pieces[i] > 0]
-    if len(ratios) < 2:
-        return FinitenessVerdict("undecided", domain, Method.ADAPTIVE_QUADRATURE)
-    rbar = float(np.exp(np.mean(np.log(ratios[-3:]))))
-    if rbar >= 10 ** -0.02:
-        return FinitenessVerdict(
-            "infinite",
-            domain,
-            Method.ADAPTIVE_QUADRATURE,
-            divergence_rate=math.log10(rbar) - 1.0,
-        )
-    if rbar <= 10 ** -0.05:
-        value = sum(pieces) + pieces[-1] * rbar / (1.0 - rbar)
-        return FinitenessVerdict(
-            "finite",
-            domain,
-            Method.ADAPTIVE_QUADRATURE,
-            value=value,
-            error_estimate=abs(pieces[-1]) * rbar / (1.0 - rbar) ** 2 * 0.01,
-        )
-    return FinitenessVerdict("undecided", domain, Method.ADAPTIVE_QUADRATURE)
+    return _finiteness(s, Domain.FULL_LINE, method, half, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,9 @@ def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
     elif suite == "overshoot":
         p = params(1.5)
         res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=seed)
-        cdf = _overshoot_cdf_callable(p, z=2.0, level=0.0)
         out = mc.ks_compare(
-            res["depths"], cdf, threshold=0.02, name="overshoot_law", seed=seed,
+            res["depths"], lambda y: overshoot_cdf(p, 2.0, 0.0, y).value,
+            threshold=0.02, name="overshoot_law", seed=seed,
             extras={"censored": res["censored"]},
         )
         out.runtime_s = time.perf_counter() - t0  # the KS evaluation included
@@ -385,15 +385,6 @@ def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
     else:  # pragma: no cover
         raise UsageError(f"unknown suite {suite}")
     return outcomes
-
-
-def _overshoot_cdf_callable(p: StableParams, z: float, level: float):
-    def cdf(y):
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([overshoot_cdf(p, z, level, float(v)).value for v in ys])
-        return out if np.ndim(y) else float(out[0])
-
-    return cdf
 
 
 def _strip_entry_cdf_callable(p: StableParams, x0: float):

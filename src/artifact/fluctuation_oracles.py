@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .boundary_classifier import Domain, integral_I
 from .sigma_model import SigmaFunction
@@ -47,7 +47,7 @@ class WrongBranchError(ValueError):
 class OracleResult:
     """A numeric oracle value with an absolute error estimate."""
 
-    value: float
+    value: float | np.ndarray
     abs_error_estimate: float = 0.0
 
     def __float__(self) -> float:
@@ -96,43 +96,36 @@ def h_function(p: StableParams, x: float) -> OracleResult:
 # first passage below a level
 
 
-def overshoot_cdf(p: StableParams, z: float, level: float, y: float) -> OracleResult:
+def overshoot_cdf(p: StableParams, z: float, level: float, y) -> OracleResult:
     """P(level - X_tau <= y) for tau the first passage below `level` from z > level.
 
     The undershoot depth law of the first passage below a level, i.e. the
     overshoot of the descending ladder process (index ahat = alpha rhohat):
 
-        F(y) = sin(pi ahat)/pi * int_0^{y/(z-level)} t^{-ahat} (1+t)^{-1} dt.
+        F(y) = sin(pi ahat)/pi * int_0^{y/(z-level)} t^{-ahat} (1+t)^{-1} dt
+             = I_{y/(z-level+y)}(1-ahat, ahat)          (regularized beta).
 
-    Equals the regularized incomplete beta I_{y/(z-level+y)}(1-ahat, ahat).
-    Degenerate branches: no downward jumps and no downward creep (increasing
-    paths) give the zero measure; downward creep (spectrally positive,
-    ahat = 1) gives the point mass at depth 0.
+    y may be an array; the value is then an array of the same shape, and a
+    float for scalar y.  Degenerate branches: no downward jumps and no
+    downward creep (increasing paths) give the zero measure; downward creep
+    (spectrally positive, ahat = 1) gives the point mass at depth 0.
     """
-    z, level, y = float(z), float(level), float(y)
+    z, level = float(z), float(level)
     if z <= level:
         raise DomainError(f"start z={z} must lie strictly above level={level}")
+    y = np.asarray(y, dtype=float)
     ahat = p.alpha * p.rho_hat
     if ahat >= 1.0 - 1e-12:
         # continuous downward passage: depth is exactly zero
-        return OracleResult(1.0 if y >= 0.0 else 0.0, 0.0)
-    if y <= 0.0:
-        return OracleResult(0.0, 0.0)
-    if ahat <= 1e-12:
-        return OracleResult(0.0, 0.0)  # never passes below: defective (zero) law
-    if math.isinf(y):
-        return OracleResult(1.0, 0.0)
-    T = y / (z - level)
-    # u = t^{1-ahat} flattens the endpoint singularity exactly
-    ex = 1.0 / (1.0 - ahat)
-
-    def f(u):
-        return 1.0 / (1.0 + u**ex)
-
-    upper = T ** (1.0 - ahat)
-    v, e = _quad(f, 0.0, upper)
-    c = math.sin(math.pi * ahat) / math.pi * ex
-    return OracleResult(c * v, c * e)
+        F = np.where(y >= 0.0, 1.0, 0.0)
+    elif ahat <= 1e-12:
+        F = np.zeros_like(y)  # never passes below: defective (zero) law
+    else:
+        yp = np.maximum(y, 0.0)
+        # y/(z-level+y), with its limit 1 at y = inf
+        t = np.divide(yp, z - level + yp, out=np.ones_like(yp), where=yp < np.inf)
+        F = special.betainc(1.0 - ahat, ahat, t)
+    return OracleResult(float(F) if F.ndim == 0 else F, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +271,8 @@ def creep_probability(p: StableParams, x: float) -> OracleResult:
         P = 1 - sin(pi ahat)/pi * x^{ahat} (1-x)^{a}
               int_1^inf (y-1)^{-ahat} y^{-a} (y-1+x)^{-1} dy,
 
-    a = alpha rho = 1, ahat = alpha - 1.  Equivalently P = x^{alpha-1}
-    (the scale-function form, used as an independent regression check).
+    a = alpha rho = 1, ahat = alpha - 1, which equals the scale-function form
+    P = x^{alpha-1} returned here.
     """
     x = float(x)
     if not (0.0 < x < 1.0):
@@ -289,23 +282,7 @@ def creep_probability(p: StableParams, x: float) -> OracleResult:
             "upward creep requires the spectrally negative branch rho = 1/alpha, "
             "alpha in (1,2)"
         )
-    a = p.alpha * p.rho  # = 1 on this branch
-    ahat = p.alpha * p.rho_hat  # = alpha - 1
-
-    # near-edge piece [1,2] with u = (y-1)^{1-ahat}, then the smooth tail
-    ex = 1.0 / (1.0 - ahat)
-
-    def near(u):
-        yy = 1.0 + u**ex
-        return yy ** (-a) / (u**ex + x) * ex
-
-    def far(yy):
-        return (yy - 1.0) ** (-ahat) * yy ** (-a) / (yy - 1.0 + x)
-
-    v1, e1 = _quad(near, 0.0, 1.0)
-    v2, e2 = _quad(far, 2.0, np.inf)
-    c = math.sin(math.pi * ahat) / math.pi * x**ahat * (1.0 - x) ** a
-    return OracleResult(1.0 - c * (v1 + v2), c * (e1 + e2))
+    return OracleResult(x ** (p.alpha - 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +466,8 @@ def spectrally_positive_interval_exit(p: StableParams, z: float, y: float) -> Or
     if y == -1.0:
         return OracleResult(0.0, 0.0)
     if y == 1.0:
-        T = (b - 1.0) / (b + 1.0)
-        # u = t^{alpha-1} flattens the left endpoint
-        def f(u):
-            return (1.0 - u ** (1.0 / (a - 1.0))) ** (1.0 - a) / (a - 1.0)
-
-        v, e = _quad(f, 0.0, T ** (a - 1.0))
-        c = math.sin(math.pi * (a - 1.0)) / math.pi
-        return OracleResult(c * v, c * e)
+        atom = special.betainc(a - 1.0, 2.0 - a, (b - 1.0) / (b + 1.0))
+        return OracleResult(float(atom), 0.0)
     value = (
         math.sin(math.pi * (a - 1.0))
         / math.pi

@@ -161,10 +161,13 @@ def cdf_from_density(
     off = width / 2.0 * (edge ** (np.arange(k, 0, -1) / k))
     nodes = np.concatenate(([lo], lo + off, [0.5 * (lo + hi)], hi - off[::-1], [hi]))
     nodes = np.unique(nodes)
+    # QUADPACK nodes in the panels next to lo and hi can round onto them,
+    # where a singular density is undefined; the endpoints are a null set
+    inner = lambda y: density(y) if lo < y < hi else 0.0
     masses = np.empty(nodes.size - 1)
     for i in range(nodes.size - 1):
         a, b = nodes[i], nodes[i + 1]
-        val, _ = integrate.quad(density, a, b, limit=200)
+        val, _ = integrate.quad(inner, a, b, limit=200)
         masses[i] = max(val, 0.0)
     cum = np.concatenate(([0.0], np.cumsum(masses)))
     total = cum[-1]

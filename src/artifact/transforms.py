@@ -2,9 +2,6 @@
 
 Contents:
 
-* a complex log-gamma (Lanczos approximation, coefficients documented below)
-  used by every characteristic-exponent formula here; validated against an
-  arbitrary-precision oracle in the test suite;
 * the characteristic exponents of six Levy processes tied to path
   transformations of the driver (censoring, radial part, conditioning to
   stay positive, killing at the origin, and their duals), all in the
@@ -23,11 +20,11 @@ implemented here; only the positive-path transforms are exposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import loggamma
 
 from .stable_core import (
     InconsistentRhoError,
@@ -40,7 +37,6 @@ from .stable_core import (
 __all__ = [
     "PoleHitError",
     "NonPositivePathError",
-    "loggamma_lanczos",
     "ExponentKind",
     "LevyExponent",
     "exponent_eval",
@@ -58,73 +54,6 @@ class PoleHitError(ArithmeticError):
 
 class NonPositivePathError(ValueError):
     """The transform requires a strictly positive path."""
-
-
-# ---------------------------------------------------------------------------
-# complex log-gamma
-#
-# Lanczos approximation with g = 7 and the standard 9-term coefficient set
-# (relative error below ~1e-13 on the right half-plane):
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_right(z):
-    """log Gamma(z) for Re(z) >= 0.5 (arrays ok)."""
-    zm1 = z - 1.0
-    x = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        x = x + _LANCZOS_C[i] / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(x)
-
-
-def loggamma_lanczos(z):
-    """A logarithm of Gamma(z) for complex z (vectorized).
-
-    For Re(z) < 0.5 the recurrence log Gamma(z) = log Gamma(z+n) - sum log(z+k)
-    is used instead of reflection; the result is then a valid logarithm of
-    Gamma(z) (exp of it equals Gamma(z) exactly) though possibly on a
-    different branch than the principal one.  All uses in this module pass
-    through exp(), so branches cancel.  Poles (z a nonpositive integer) give
-    -inf real part.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_right(z[right])
-    if np.any(~right):
-        w = z[~right]
-        # shift into the right half-plane: n such that Re(w) + n >= 0.5
-        n = np.maximum(0, np.ceil(0.5 - w.real)).astype(int)
-        nmax = int(n.max())
-        acc = np.zeros_like(w)
-        wk = w.copy()
-        for k in range(nmax):
-            act = k < n
-            # guard the log at exact poles: log(0) -> -inf as desired
-            with np.errstate(divide="ignore", invalid="ignore"):
-                acc[act] = acc[act] + np.log(wk[act])
-            wk[act] = wk[act] + 1.0
-        out[~right] = _lanczos_right(wk) - acc
-    if out.ndim == 0:
-        return complex(out)
-    return out
 
 
 def _is_nonpositive_integer(z, tol=1e-12):
@@ -245,7 +174,7 @@ class LevyExponent:
                 raise PoleHitError(
                     f"numerator gamma pole: Gamma({num[np.argmax(badn)]}) at z = {loc}"
                 )
-            out = sign * 1j * z * np.exp(loggamma_lanczos(num) - loggamma_lanczos(den))
+            out = sign * 1j * z * np.exp(loggamma(num) - loggamma(den))
             badd = _is_nonpositive_integer(den)
             out = np.where(badd, 0.0, out)
         else:
@@ -264,10 +193,10 @@ class LevyExponent:
                 den_pole |= _is_nonpositive_integer(arg)
             log_expr = np.zeros(z.shape, dtype=complex)
             for arg in nums:
-                log_expr = log_expr + loggamma_lanczos(arg)
+                log_expr = log_expr + loggamma(arg)
             for arg in dens:
                 safe = np.where(den_pole, 1.0, arg)
-                log_expr = log_expr - loggamma_lanczos(safe)
+                log_expr = log_expr - loggamma(safe)
             out = np.where(den_pole, 0.0, np.exp(log_expr))
         if scalar:
             return complex(out[0])

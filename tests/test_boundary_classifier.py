@@ -10,8 +10,10 @@ import pytest
 
 from artifact import (
     Domain,
+    LogPower,
     OutOfRangeError,
     PowerTail,
+    SigmaFunction,
     StableParams,
     classify,
     integral_I,
@@ -26,15 +28,28 @@ TICK, CROSS = "tick", "cross"
 # the finiteness integrals, analytic route vs adaptive quadrature
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.3, 1.8])
-@pytest.mark.parametrize("theta", [0.5, 2.0])
-@pytest.mark.parametrize("domain", [Domain.POS_HALF, Domain.NEG_HALF, Domain.FULL_LINE])
+# (domain, theta, alpha); alpha "log" is the alpha = 1 functional
+# int sigma^-1 log|x| dx, which integral_log takes over the full line only
+_ROUTE_CASES = [
+    (domain, theta, alpha)
+    for domain in (Domain.POS_HALF, Domain.NEG_HALF, Domain.FULL_LINE)
+    for theta in (0.5, 2.0)
+    for alpha in (0.5, 1.3, 1.8)
+] + [(Domain.FULL_LINE, theta, "log") for theta in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("domain,theta,alpha", _ROUTE_CASES)
 def test_integral_routes_agree(alpha, theta, domain):
     s = PowerTail(c=1.0, theta=theta)
-    a = integral_I(s, alpha, domain, method="analytic_tail")
-    q = integral_I(s, alpha, domain, method="adaptive_quadrature")
+    if alpha == "log":
+        integral = lambda method: integral_log(s, method=method)
+    else:
+        integral = lambda method: integral_I(s, alpha, domain, method=method)
+    a = integral("analytic_tail")
+    q = integral("adaptive_quadrature")
     assert a.status == q.status, (a, q)
-    # integrand tail |x|^(alpha-1-alpha*theta): finite iff theta > 1
+    # integrand tail |x|^(alpha-1-alpha*theta), or |x|^-theta log|x| for the
+    # log functional: finite iff theta > 1
     assert a.status == ("finite" if theta > 1.0 else "infinite")
     if a.status == "finite":
         assert q.value == pytest.approx(a.value, rel=1e-6)
@@ -58,6 +73,41 @@ def test_integral_log_variant_cauchy_case():
     assert integral_log(PowerTail(c=1.0, theta=2.0)).status == "finite"
     assert integral_log(PowerTail(c=1.0, theta=1.0)).status == "infinite"
     assert integral_log(PowerTail(c=1.0, theta=0.5)).status == "infinite"
+
+
+class _NoTails(SigmaFunction):
+    """A sigma without declared tails: only the quadrature ladder can judge it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def describe(self):
+        return "no-tails:" + self.inner.describe()
+
+
+def test_integral_log_honours_forced_route_and_rejects_unknown_method():
+    s = _NoTails(PowerTail(c=1.0, theta=2.0))
+    for v in (integral_log(s, method="analytic_tail"),
+              integral_I(s, 0.5, Domain.FULL_LINE, method="analytic_tail")):
+        assert v.status == "undecided" and v.method.value == "analytic_tail", v
+    with pytest.raises(ValueError):
+        integral_log(PowerTail(c=1.0, theta=2.0), method="bogus")
+
+
+def test_integral_log_ladder_never_claims_slow_divergence_finite():
+    # sigma ~ |x| log|x|^q gives the log integrand x^-1 log(x)^(1-q): divergent
+    # for q <= 2, but so slowly that decade sums shrink; the ladder may only
+    # abstain there, never tick the alpha = 1 entrance row
+    for q in (1.7, 1.8, 1.9, 2.0):
+        s = LogPower(c=1.0, theta=1.0, q=q)
+        assert integral_log(s, method="auto").status == "infinite"
+        v = integral_log(s, method="adaptive_quadrature")
+        assert v.status in ("infinite", "undecided"), (q, v)
+        rep = classify(StableParams(1.0, 0.5), s, method="adaptive_quadrature")
+        assert "pm_inf" not in rep.ticks("entrance"), q
 
 
 def test_integral_value_hand_check():

@@ -95,10 +95,30 @@ def test_overshoot_cdf_betainc_route():
 def test_overshoot_cdf_is_distribution():
     p = StableParams(1.5, 0.5)
     ys = np.linspace(0.0, 50.0, 200)
-    vals = np.array([overshoot_cdf(p, 2.0, 0.0, float(y)).value for y in ys])
+    vals = overshoot_cdf(p, 2.0, 0.0, ys).value
+    assert vals.shape == ys.shape
+    assert vals.tolist() == [overshoot_cdf(p, 2.0, 0.0, float(y)).value for y in ys]
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) >= 0)
     assert overshoot_cdf(p, 2.0, 0.0, 1e9).value == pytest.approx(1.0, abs=1e-4)
+
+
+def test_overshoot_cdf_degenerate_branches():
+    ys = np.array([-1.0, 0.0, 0.5, np.inf])
+    cases = [
+        (StableParams(1.5, 0.5), [0.0, 0.0, None, 1.0]),  # two-sided: F(inf) = 1
+        (StableParams(1.5, 1.0 - 1.0 / 1.5), [0.0, 1.0, 1.0, 1.0]),  # creeps down: atom at 0
+        (StableParams(0.5, 1.0), [0.0, 0.0, 0.0, 0.0]),  # increasing: never passes below
+    ]
+    for p, want in cases:
+        got = overshoot_cdf(p, 2.0, 0.0, ys).value
+        for y, g, w in zip(ys, got, want):
+            scalar = overshoot_cdf(p, 2.0, 0.0, float(y)).value
+            assert type(scalar) is float and scalar == g, (p, y)
+            if w is not None:
+                assert g == w, (p, y)
+    with pytest.raises(DomainError):
+        overshoot_cdf(StableParams(1.5, 0.5), 0.0, 0.0, ys)
 
 
 def test_overshoot_cdf_translation_invariance():
@@ -127,6 +147,28 @@ def test_creep_probability_value_and_branch_guard():
         math.sqrt(0.5), rel=1e-12)
     with pytest.raises(WrongBranchError):
         creep_probability(StableParams(1.5, 0.5), 0.5)
+
+
+def _creep_by_exit_integral(alpha, x):
+    """1 - sin(pi ahat)/pi x^ahat (1-x) int_1^inf (y-1)^-ahat y^-1 (y-1+x)^-1 dy,
+    ahat = alpha - 1: one minus the mass of the jump exit law above 1."""
+    ahat = alpha - 1.0
+    ex = 1.0 / (1.0 - ahat)
+    # near-edge piece [1,2] with u = (y-1)^(1-ahat), then the smooth tail
+    near, _ = integrate.quad(lambda u: (1.0 + u ** ex) ** -1.0 / (u ** ex + x) * ex,
+                             0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)
+    far, _ = integrate.quad(lambda y: (y - 1.0) ** -ahat / y / (y - 1.0 + x),
+                            2.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+    c = math.sin(math.pi * ahat) / math.pi * x ** ahat * (1.0 - x)
+    return 1.0 - c * (near + far)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_creep_probability_matches_exit_integral(alpha):
+    p = StableParams(alpha, 1.0 / alpha)
+    for x in (0.01, 0.3, 0.7, 0.99):
+        assert creep_probability(p, x).value == pytest.approx(
+            _creep_by_exit_integral(alpha, x), abs=1e-12), x
 
 
 # ---------------------------------------------------------------------------

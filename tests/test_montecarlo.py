@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from artifact import (
     StableParams,
@@ -68,6 +68,27 @@ def test_cdf_from_density_mass_and_singular_edges():
 
     m, _ = integrate.quad(dens, 0.0, 0.5)
     assert cdf(np.array([0.5]))[0] == pytest.approx(m / (4.0 / 3.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("x0", [2.0, -2.0])
+def test_cdf_from_density_strip_law_with_strong_edge_singularities(x0):
+    # alpha*rhohat = 0.69: QUADPACK nodes in the panels next to y = 1 round
+    # onto the endpoint, where the entry density is undefined
+    a, r = 0.88, 0.22
+    p = StableParams(a, r)
+    cdf = mc.cdf_from_density(lambda y: strip_exit_density(p, x0, y).value, -1.0, 1.0)
+    # reference: the density is (1+y)^(-alpha rho) (1-y)^(-alpha rhohat) / (x-y)
+    # up to a constant for x > 1 (mirrored for x < -1); QAWS takes the edge
+    # weights
+    x, sign = abs(x0), np.sign(x0)
+    lo_e, hi_e = (-a * r, -a * (1 - r)) if x0 > 0 else (-a * (1 - r), -a * r)
+    g = lambda y: 1.0 / (x - y)
+    total = integrate.quad(g, -1, 1, weight="alg", wvar=(lo_e, hi_e))[0]
+    for t in (-0.99, -0.5, 0.0, 0.5, 0.99):
+        part = integrate.quad(lambda y: (1 - y) ** hi_e * g(y), -1, sign * t,
+                              weight="alg", wvar=(lo_e, 0.0))[0] / total
+        want = part if x0 > 0 else 1.0 - part
+        assert cdf(t) == pytest.approx(want, abs=5e-3), t
 
 
 # ---------------------------------------------------------------------------
