@@ -14,8 +14,8 @@ Subpackages by concern:
   at infinity;
 - ``fluctuation_oracles``: closed-form overshoot/exit/creep/potential
   formulas used as ground truth;
-- ``transforms``: characteristic exponents of the derived processes,
-  log-gamma machinery, Lamperti/censoring path maps;
+- ``transforms``: characteristic exponents of the derived processes as
+  gamma quotients, Lamperti/censoring path maps;
 - ``sde_timechange``: the pathwise solver, explosion-time sampling, and
   spatial inversion;
 - ``montecarlo``: the statistical validation engine;
@@ -97,7 +97,6 @@ from .transforms import (
     PoleHitError,
     censor_positive,
     esscher_zero_check,
-    exponent_eval,
     lamperti_forward,
     lamperti_inverse,
     mean_at_one,

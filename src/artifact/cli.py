@@ -17,7 +17,6 @@ the default seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -42,36 +41,7 @@ from .transforms import ExponentKind, LevyExponent, esscher_zero_check, mean_at_
 
 SCHEMA_VERSION = "1"
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Parsed invocation; round-trips through its JSON form."""
-
-    subcommand: str
-    alpha: float | None = None
-    rho: float | None = None
-    sigma_spec: str | None = None
-    seed: int = 0
-    n_paths: int = 10_000
-    horizon: float = 1.0
-    step: float | None = None
-    output: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        if self.step is None and self.horizon > 0:
-            self.step = 1e-3 * self.horizon
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+__all__ = ["run", "main"]
 
 
 def _env_seed(default: int = 0) -> int:
@@ -329,10 +299,12 @@ def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
         u = gen.random(n)
         # inverse transform through an explicit CDF: exponential(1)
         samples = -np.log1p(-u)
-        outcomes.append(mc.ks_compare(
+        out = mc.ks_compare(
             samples, lambda x: -np.expm1(-np.maximum(x, 0.0)),
             threshold=0.02, name="ks_self_test", seed=seed,
-        ))
+        )
+        out.runtime_s = time.perf_counter() - t0
+        outcomes.append(out)
     elif suite == "overshoot":
         p = params(1.5)
         res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=seed)

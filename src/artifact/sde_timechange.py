@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
-from .stable_core import OutOfRangeError, Path, StableParams, stream
+from .stable_core import OutOfRangeError, Path, StableParams, _retimed, stream
 
 __all__ = [
     "ExhaustedPathError",
@@ -76,18 +77,21 @@ class AdditiveFunctional:
         return float(self.cumvals[-1])
 
 
+def _alpha_for(path: Path, alpha: float | None) -> float:
+    """alpha from the argument, else from the path."""
+    if alpha is None:
+        alpha = path.alpha
+    if alpha is None:
+        raise OutOfRangeError("alpha is required (not carried by the path)")
+    return float(alpha)
+
+
 def additive_functional(path: Path, s: SigmaFunction, alpha: float | None = None) -> AdditiveFunctional:
     """Trapezoid cumulative of sigma(X)^(-alpha) along the path. Exact for
     constant sigma (sigma == 1 gives A_s = s on the grid)."""
-    alpha = path.alpha if alpha is None else float(alpha)
-    if alpha is None:
-        raise OutOfRangeError("alpha is required (not carried by the path)")
-    f = np.asarray(s(path.values), dtype=float) ** (-alpha)
-    if path.times.size == 1:
-        return AdditiveFunctional(path.times.copy(), np.zeros(1))
-    inc = 0.5 * (f[1:] + f[:-1]) * np.diff(path.times)
+    f = np.asarray(s(path.values), dtype=float) ** (-_alpha_for(path, alpha))
     return AdditiveFunctional(
-        path.times.copy(), np.concatenate(([0.0], np.cumsum(inc)))
+        path.times.copy(), cumulative_trapezoid(f, path.times, initial=0.0)
     )
 
 
@@ -287,24 +291,10 @@ def _coinvert_integrand(s: SigmaFunction, alpha: float, x: np.ndarray) -> np.nda
     return np.asarray(s(x), dtype=float) ** alpha * ax ** (-2.0 * alpha)
 
 
-def _inversion(path: Path, integrand: np.ndarray, tag: str) -> Path:
+def _inversion(path: Path, rate: np.ndarray, tag: str) -> Path:
     if np.any(path.values == 0.0):
         raise HitZeroError("spatial inversion is undefined at an exact zero value")
-    t = path.times
-    if t.size == 1:
-        new_t = np.zeros(1)
-    else:
-        inc = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)
-        new_t = np.concatenate(([0.0], np.cumsum(inc)))
-    return Path(
-        new_t,
-        1.0 / path.values,
-        alpha=path.alpha,
-        rho=path.rho,
-        seed=path.seed,
-        step=None,
-        meta=dict(path.meta, transform=tag),
-    )
+    return _retimed(path, rate, 1.0 / path.values, tag)
 
 
 def spatial_inversion(path: Path, s: SigmaFunction, alpha: float | None = None) -> Path:
@@ -314,20 +304,12 @@ def spatial_inversion(path: Path, s: SigmaFunction, alpha: float | None = None) 
     coefficient sigma.  |x| is clamped at 1e-12 inside beta; an exact zero
     raises HitZeroError.
     """
-    alpha = path.alpha if alpha is None else float(alpha)
-    if alpha is None:
-        raise OutOfRangeError("alpha is required (not carried by the path)")
-    return _inversion(
-        path, _beta_integrand(s, alpha, path.values), "spatial_inversion"
-    )
+    rate = _beta_integrand(s, _alpha_for(path, alpha), path.values)
+    return _inversion(path, rate, "spatial_inversion")
 
 
 def spatial_inversion_inverse(path: Path, s: SigmaFunction, alpha: float | None = None) -> Path:
     """Inverse of spatial_inversion on skeletons: values 1/omega at the clock
     with density 1/beta(1/omega) = sigma(omega)^{alpha} |omega|^{-2 alpha}."""
-    alpha = path.alpha if alpha is None else float(alpha)
-    if alpha is None:
-        raise OutOfRangeError("alpha is required (not carried by the path)")
-    return _inversion(
-        path, _coinvert_integrand(s, alpha, path.values), "spatial_inversion_inverse"
-    )
+    rate = _coinvert_integrand(s, _alpha_for(path, alpha), path.values)
+    return _inversion(path, rate, "spatial_inversion_inverse")

@@ -119,8 +119,8 @@ class LogPower(SigmaFunction):
 class Tabulated(SigmaFunction):
     xs: tuple
     ys: tuple
-    tail_plus: float = 0.0
-    tail_minus: float = 0.0
+    tail_plus: float | None = None
+    tail_minus: float | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "OutOfRangeError",
@@ -62,7 +63,6 @@ __all__ = [
     "DomainError",
     "Sidedness",
     "StableParams",
-    "validate_params",
     "char_exponent",
     "levy_density",
     "stream",
@@ -163,12 +163,6 @@ class StableParams:
     def is_monotone(self) -> bool:
         """True for the increasing/decreasing members (alpha < 1, rho in {0,1})."""
         return self.alpha < 1.0 and (self.rho <= _EPS or self.rho >= 1.0 - _EPS)
-
-
-def validate_params(alpha: float, rho: float) -> StableParams:
-    """Validate and package (alpha, rho); raises OutOfRangeError or
-    InconsistentRhoError with a message naming the offending constraint."""
-    return StableParams(float(alpha), float(rho))
 
 
 def char_exponent(p: StableParams, z):
@@ -371,6 +365,21 @@ class Path:
 
     def with_values(self, values: np.ndarray) -> "Path":
         return replace(self, values=np.asarray(values, dtype=float))
+
+
+def _retimed(path: Path, rate: np.ndarray, values, tag: str) -> Path:
+    """``values`` at the clock int_0^t rate ds (trapezoid on the path's grid,
+    starting at 0), with the path's alpha, rho and seed and ``tag`` as its
+    ``meta["transform"]``."""
+    return Path(
+        cumulative_trapezoid(rate, path.times, initial=0.0),
+        values,
+        alpha=path.alpha,
+        rho=path.rho,
+        seed=path.seed,
+        step=None,
+        meta=dict(path.meta, transform=tag),
+    )
 
 
 def sample_path(

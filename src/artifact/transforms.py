@@ -32,6 +32,7 @@ from .stable_core import (
     Path,
     Sidedness,
     StableParams,
+    _retimed,
 )
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "NonPositivePathError",
     "ExponentKind",
     "LevyExponent",
-    "exponent_eval",
     "mean_at_one",
     "esscher_zero_check",
     "lamperti_forward",
@@ -134,7 +134,7 @@ class LevyExponent:
         if k is ExponentKind.COND_POSITIVE and not (0.0 < p.rho):
             raise InconsistentRhoError("conditioning to stay positive needs rho > 0")
 
-    # numerator/denominator gamma arguments as functions of w = -iz
+    # sign and numerator/denominator gamma arguments as functions of w = -iz
     def _gamma_args(self, w):
         p = self.params
         al = p.alpha
@@ -142,71 +142,54 @@ class LevyExponent:
         ahat = al * p.rho_hat
         k = self.kind
         if k is ExponentKind.CENSORED:
-            return (a + w, 1.0 - a - w), (w, 1.0 - al - w)
+            return 1.0, (a + w, 1.0 - a - w), (w, 1.0 - al - w)
         if k is ExponentKind.RADIAL:
-            return ((al + w) / 2.0, (1.0 - w) / 2.0), (w / 2.0, (1.0 - al - w) / 2.0)
+            return 1.0, ((al + w) / 2.0, (1.0 - w) / 2.0), (w / 2.0, (1.0 - al - w) / 2.0)
         if k is ExponentKind.COND_POSITIVE:
-            return (a + w, 1.0 + ahat - w), (w, 1.0 - w)
+            return 1.0, (a + w, 1.0 + ahat - w), (w, 1.0 - w)
         if k is ExponentKind.CENSORED_CIRC:
-            return (1.0 - a + w, a - w), (1.0 - al + w, -w)
+            return 1.0, (1.0 - a + w, a - w), (1.0 - al + w, -w)
+        # iz = -w and Gamma(1 + w) = w Gamma(w)
+        if k is ExponentKind.DAGGER_SPEC_POS:
+            return -1.0, (al + w,), (w,)
+        if k is ExponentKind.HAT_UPARROW:
+            return -1.0, (al - w,), (-w,)
         raise AssertionError(k)
 
     def eval(self, z):
         """Psi(z) for real (or, for analytic continuation, complex) z.
 
         Denominator gamma poles produce exact zeros of Psi (this is how
-        Psi(0) = 0 holds for the gamma-quotient kinds); a numerator pole
-        raises PoleHitError naming the offending factor.
+        Psi(0) = 0 holds); a numerator pole raises PoleHitError naming the
+        offending arguments.
         """
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        w = -1j * z
-        k = self.kind
-        if k in (ExponentKind.DAGGER_SPEC_POS, ExponentKind.HAT_UPARROW):
-            al = self.params.alpha
-            sign = 1.0 if k is ExponentKind.DAGGER_SPEC_POS else -1.0
-            num = al - sign * 1j * z
-            den = 1.0 - sign * 1j * z
-            badn = _is_nonpositive_integer(num)
-            if np.any(badn):
-                loc = z[badn][0]
-                raise PoleHitError(
-                    f"numerator gamma pole: Gamma({num[np.argmax(badn)]}) at z = {loc}"
-                )
-            out = sign * 1j * z * np.exp(loggamma(num) - loggamma(den))
-            badd = _is_nonpositive_integer(den)
-            out = np.where(badd, 0.0, out)
-        else:
-            nums, dens = self._gamma_args(w)
-            num_pole = np.zeros(z.shape, dtype=bool)
-            for arg in nums:
-                num_pole |= _is_nonpositive_integer(arg)
-            if np.any(num_pole):
-                idx = int(np.argmax(num_pole))
-                raise PoleHitError(
-                    f"numerator gamma pole at z = {z[idx]} "
-                    f"(arguments {[complex(np.atleast_1d(a)[idx] if np.ndim(a) else a) for a in nums]})"
-                )
-            den_pole = np.zeros(z.shape, dtype=bool)
-            for arg in dens:
-                den_pole |= _is_nonpositive_integer(arg)
-            log_expr = np.zeros(z.shape, dtype=complex)
-            for arg in nums:
-                log_expr = log_expr + loggamma(arg)
-            for arg in dens:
-                safe = np.where(den_pole, 1.0, arg)
-                log_expr = log_expr - loggamma(safe)
-            out = np.where(den_pole, 0.0, np.exp(log_expr))
+        sign, nums, dens = self._gamma_args(-1j * z)
+        num_pole = np.zeros(z.shape, dtype=bool)
+        for arg in nums:
+            num_pole |= _is_nonpositive_integer(arg)
+        if np.any(num_pole):
+            idx = int(np.argmax(num_pole))
+            raise PoleHitError(
+                f"numerator gamma pole at z = {z[idx]} "
+                f"(arguments {[complex(np.atleast_1d(a)[idx] if np.ndim(a) else a) for a in nums]})"
+            )
+        den_pole = np.zeros(z.shape, dtype=bool)
+        for arg in dens:
+            den_pole |= _is_nonpositive_integer(arg)
+        log_expr = np.zeros(z.shape, dtype=complex)
+        for arg in nums:
+            log_expr = log_expr + loggamma(arg)
+        for arg in dens:
+            safe = np.where(den_pole, 1.0, arg)
+            log_expr = log_expr - loggamma(safe)
+        val = np.exp(log_expr)
+        out = np.where(den_pole, 0.0, val if sign > 0 else -val)
         if scalar:
             return complex(out[0])
         return out
-
-
-def exponent_eval(e: LevyExponent, z):
-    """Evaluate Psi at z (real for the characteristic function; complex values
-    are accepted for analytic continuation along the imaginary axis)."""
-    return e.eval(z)
 
 
 def mean_at_one(e: LevyExponent) -> float:
@@ -246,14 +229,6 @@ def esscher_zero_check(p: StableParams, at: complex | None = None) -> float:
 # Lamperti transform
 
 
-def _cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid with a leading zero."""
-    if len(x) == 1:
-        return np.zeros(1)
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return np.concatenate(([0.0], np.cumsum(inc)))
-
-
 def lamperti_forward(xi_path: Path, alpha: float) -> Path:
     """Positive self-similar path from a Levy path:  X_t = exp(xi_{phi_t}).
 
@@ -264,16 +239,7 @@ def lamperti_forward(xi_path: Path, alpha: float) -> Path:
     if alpha <= 0:
         raise OutOfRangeError("alpha must be positive")
     xi = xi_path.values
-    clock = _cumtrapz0(np.exp(alpha * xi), xi_path.times)
-    return Path(
-        clock,
-        np.exp(xi),
-        alpha=xi_path.alpha,
-        rho=xi_path.rho,
-        seed=xi_path.seed,
-        step=None,
-        meta={"transform": "lamperti_forward"},
-    )
+    return _retimed(xi_path, np.exp(alpha * xi), np.exp(xi), "lamperti_forward")
 
 
 def lamperti_inverse(x_path: Path, alpha: float) -> Path:
@@ -285,16 +251,7 @@ def lamperti_inverse(x_path: Path, alpha: float) -> Path:
     v = x_path.values
     if np.any(v <= 0.0):
         raise NonPositivePathError("Lamperti inverse needs a strictly positive path")
-    times = _cumtrapz0(v ** (-alpha), x_path.times)
-    return Path(
-        times,
-        np.log(v),
-        alpha=x_path.alpha,
-        rho=x_path.rho,
-        seed=x_path.seed,
-        step=None,
-        meta={"transform": "lamperti_inverse"},
-    )
+    return _retimed(x_path, v ** (-alpha), np.log(v), "lamperti_inverse")
 
 
 def censor_positive(path: Path) -> Path:

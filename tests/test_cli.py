@@ -19,26 +19,6 @@ def _run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig
-
-
-def test_runconfig_round_trip():
-    cfg = cli.RunConfig("simulate", alpha=1.5, rho=0.5, horizon=2.0,
-                        sigma_spec="power:c=1,theta=2")
-    back = cli.RunConfig.from_json(cfg.to_json())
-    assert back == cfg
-
-
-def test_runconfig_defaults():
-    cfg = cli.RunConfig("simulate", alpha=1.5, rho=0.5, horizon=10.0)
-    assert cfg.seed == 0
-    assert cfg.n_paths == 10_000
-    assert cfg.step == pytest.approx(1e-3 * 10.0)
-    with pytest.raises(ValueError):
-        cli.RunConfig("simulate", format="xml")
-
-
-# ---------------------------------------------------------------------------
 # classify
 
 
@@ -198,7 +178,7 @@ def test_validate_alpha_optional(capsys):
     assert json.loads(out)["name"] == "ks_self_test"
 
 
-@pytest.mark.parametrize("suite", ["overshoot", "strip"])
+@pytest.mark.parametrize("suite", ["ks-self", "overshoot", "strip"])
 def test_ks_suites_report_runtime(suite):
     (out,) = cli._run_suite(suite, 0, 300, None, None, None)
     assert out.runtime_s > 0

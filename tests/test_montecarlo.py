@@ -102,9 +102,7 @@ def test_overshoot_kernel_matches_oracle_small_n():
     depths = res["depths"]
     assert np.all(depths > 0)
     assert res["censored"] <= 0.01 * 3000
-    cdf = lambda y: np.array(
-        [overshoot_cdf(p, 2.0, 0.0, float(v)).value for v in np.atleast_1d(y)])
-    ks = mc.ks_statistic(depths, cdf)
+    ks = mc.ks_statistic(depths, lambda y: overshoot_cdf(p, 2.0, 0.0, y).value)
     assert ks < 1.628 / math.sqrt(depths.size), ks
 
 

@@ -48,12 +48,16 @@ def test_log_power_strictly_positive_and_monotone_tail():
 def test_tabulated_exact_at_nodes_and_guards():
     xs = np.array([-2.0, 0.0, 1.0, 3.0])
     ys = np.array([4.0, 1.0, 2.0, 8.0])
-    s = Tabulated(xs, ys)
+    s = Tabulated(xs, ys, tail_plus=1.0, tail_minus=1.0)
     np.testing.assert_allclose(s(xs), ys)
     mid = s(0.5)
     assert 1.0 < mid < 2.0
     with pytest.raises(NonPositiveError):
-        Tabulated(xs, np.array([4.0, 0.0, 2.0, 8.0]))
+        Tabulated(xs, np.array([4.0, 0.0, 2.0, 8.0]), tail_plus=1.0, tail_minus=1.0)
+    with pytest.raises(ValueError, match="tail exponents"):
+        Tabulated(xs, ys)
+    with pytest.raises(ValueError, match="tail exponents"):
+        Tabulated(xs, ys, tail_plus=1.0)
 
 
 def test_composite_product():
