@@ -376,19 +376,10 @@ def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1)) / np.sqrt(samples.size)
     rel = abs(mean - target) / target
-    return mc.ValidationOutcome(
-        name="explosion_time_vs_potential",
-        statistic=float(rel),
-        threshold=0.05,
-        passed=rel <= 0.05,
-        n_paths=n,
-        seed=seed,
-        runtime_s=time.perf_counter() - t0,
-        extras={
-            "mc_mean": mean, "mc_se": se, "target": float(target),
-            "plateau_fraction": est.plateau_fraction,
-        },
-    )
+    return mc._judged("explosion_time_vs_potential", rel, 0.05, n, seed, t0, {
+        "mc_mean": mean, "mc_se": se, "target": float(target),
+        "plateau_fraction": est.plateau_fraction,
+    })
 
 
 def _cmd_validate(ns) -> int:

@@ -26,8 +26,9 @@ import numpy as np
 from scipy import integrate
 
 from .fluctuation_oracles import killed_potential_density
+from .sde_timechange import _plateaued
 from .sigma_model import SigmaFunction
-from .stable_core import OutOfRangeError, StableParams, sample_increment, stream
+from .stable_core import OutOfRangeError, StableParams, _keyed, _seed_of, sample_increment
 
 __all__ = [
     "TooFewSamplesError",
@@ -83,6 +84,16 @@ class ValidationOutcome:
         if include_runtime:
             payload["runtime_s"] = round(self.runtime_s, 3)
         return json.dumps(payload, sort_keys=True)
+
+
+def _judged(name, statistic, threshold, n_paths, rng, t0, extras) -> ValidationOutcome:
+    """The outcome of a validation started at perf_counter() == t0 on rng."""
+    statistic, threshold = float(statistic), float(threshold)
+    return ValidationOutcome(
+        name=name, statistic=statistic, threshold=threshold,
+        passed=statistic <= threshold, n_paths=n_paths, seed=_seed_of(rng),
+        runtime_s=time.perf_counter() - t0, extras=extras,
+    )
 
 
 def _jsonable(obj):
@@ -201,14 +212,6 @@ class _Ends(NamedTuple):
     code: np.ndarray  # _STOPPED, _HORIZON or _MAX_STEPS
 
 
-def _keyed(rng, key: int) -> np.random.Generator:
-    """The independent stream `key` of an integer seed; a Generator is used
-    as it is (then results depend on call order, not only on the seed)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return stream(int(rng), key)
-
-
 def _trapezoid(g):
     return lambda x, x_new, dt: 0.5 * (g(x) + g(x_new)) * dt
 
@@ -240,6 +243,8 @@ def _walk(
     after max_steps iterations end with _MAX_STEPS.  on_batch() is called
     after each batch.
     """
+    if batch < 1:
+        raise OutOfRangeError("batch must be at least 1")
     timed = math.isfinite(horizon)
     out = _Ends(
         lane=np.empty(n_paths, dtype=np.int64),
@@ -564,24 +569,15 @@ def occupation_vs_potential(
     )
     rel = abs(mean - target) / abs(target)
     z = (mean - target) / se if se > 0 else math.inf
-    return ValidationOutcome(
-        name=name,
-        statistic=float(rel),
-        threshold=float(threshold),
-        passed=rel <= threshold,
-        n_paths=n_paths,
-        seed=None if isinstance(rng, np.random.Generator) else int(rng),
-        runtime_s=time.perf_counter() - t0,
-        extras={
-            "mc_mean": mean,
-            "mc_se": se,
-            "target": float(target),
-            "target_quad_error": float(terr),
-            "z_score": float(z),
-            "killed": res["killed"],
-            "alive_at_horizon": res["alive"],
-        },
-    )
+    return _judged(name, rel, threshold, n_paths, rng, t0, {
+        "mc_mean": mean,
+        "mc_se": se,
+        "target": float(target),
+        "target_quad_error": float(terr),
+        "z_score": float(z),
+        "killed": res["killed"],
+        "alive_at_horizon": res["alive"],
+    })
 
 
 def _hitting_grid(n_interior: int = 81, n_edge: int = 9) -> np.ndarray:
@@ -621,17 +617,16 @@ def occupation_potential_lemma(
         raise OutOfRangeError("a must be an integer multiple of step")
     nodes = _hitting_grid()
     nodes = nodes[(nodes > lo) & (nodes < hi)]
-    # --- stage 1: h_a on the grid
+    uniform = lambda x: float(step)
+    outside = lambda x: (x <= lo) | (x >= hi)
+    # --- stage 1: h_a on the grid; a lane that has not exited within k_cap
+    # steps counts as a miss however it goes on, so no lane walks past k_cap
     h_hat = np.empty(nodes.size)
-    h_var = np.empty(nodes.size)
     for j, y in enumerate(nodes):
-        res = interval_exit_occupation(
-            p, float(y), lo, hi, step, grid_paths, rng=_keyed(rng, 1000 + j),
-            batch=grid_paths,
-        )
-        ph = float(np.mean(res["steps"] <= k_cap))
-        h_hat[j] = ph
-        h_var[j] = ph * (1.0 - ph) / grid_paths
+        ends = _walk(p, float(y), grid_paths, _keyed(rng, 1000 + j), grid_paths,
+                     uniform, outside, max_steps=k_cap)
+        h_hat[j] = np.mean(ends.code == _STOPPED)
+    h_var = h_hat * (1.0 - h_hat) / grid_paths
 
     # --- stage 2: main run accumulating both sides on the same paths
     idx_w = np.zeros(nodes.size)  # mean accumulated interp weight per node
@@ -652,9 +647,7 @@ def occupation_potential_lemma(
         w_batch[:] = 0.0
 
     ends = _walk(
-        p, x0, n_paths, rng, batch,
-        lambda x: float(step),
-        lambda x: (x <= lo) | (x >= hi),
+        p, x0, n_paths, rng, batch, uniform, outside,
         accumulate=_left_endpoint(h_interp), max_steps=2_000_000, on_batch=flush,
     )
     if np.any(ends.code == _MAX_STEPS):
@@ -669,23 +662,14 @@ def occupation_potential_lemma(
     var_grid = float(np.sum(idx_w ** 2 * h_var))
     se = math.sqrt(var_mc + var_grid)
     z = abs(mean_d) / se if se > 0 else math.inf
-    return ValidationOutcome(
-        name=name,
-        statistic=float(z),
-        threshold=float(threshold),
-        passed=z <= threshold,
-        n_paths=n_paths,
-        seed=int(rng) if not isinstance(rng, np.random.Generator) else None,
-        runtime_s=time.perf_counter() - t0,
-        extras={
-            "mean_difference": mean_d,
-            "se_mc": math.sqrt(var_mc),
-            "se_grid": math.sqrt(var_grid),
-            "cap": a,
-            "step": step,
-            "grid_nodes": int(nodes.size),
-        },
-    )
+    return _judged(name, z, threshold, n_paths, rng, t0, {
+        "mean_difference": mean_d,
+        "se_mc": math.sqrt(var_mc),
+        "se_grid": math.sqrt(var_grid),
+        "cap": a,
+        "step": step,
+        "grid_nodes": int(nodes.size),
+    })
 
 
 def perpetual_integral_law(
@@ -725,27 +709,16 @@ def perpetual_integral_law(
         f_old = f_new
         if k + 1 == k_decade:
             snapshot[:] = integral
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel_growth = np.where(integral > 0, (integral - snapshot) / integral, 1.0)
-    frac = float(np.mean(rel_growth < 1e-3))
+    frac = float(np.mean(_plateaued(integral, integral - snapshot)))
     if expect == "finite":
         statistic, threshold = 0.99 - frac, 0.0
     else:
         statistic, threshold = frac - 0.01, 0.0
-    return ValidationOutcome(
-        name=name,
-        statistic=float(statistic),
-        threshold=float(threshold),
-        passed=statistic <= threshold,
-        n_paths=n_paths,
-        seed=int(rng) if not isinstance(rng, np.random.Generator) else None,
-        runtime_s=time.perf_counter() - t0,
-        extras={
-            "plateau_fraction": frac,
-            "expect": expect,
-            "mean_truncated_integral": float(np.mean(integral)),
-        },
-    )
+    return _judged(name, statistic, threshold, n_paths, rng, t0, {
+        "plateau_fraction": frac,
+        "expect": expect,
+        "mean_truncated_integral": float(np.mean(integral)),
+    })
 
 
 def entrance_proxy(
@@ -802,18 +775,9 @@ def entrance_proxy(
         thr = 1.0
     else:
         raise OutOfRangeError("expect must be 'stabilize' or 'diverge'")
-    return ValidationOutcome(
-        name=name,
-        statistic=statistic,
-        threshold=thr,
-        passed=statistic <= thr,
-        n_paths=n_paths * len(admissible),
-        seed=int(rng) if not isinstance(rng, np.random.Generator) else None,
-        runtime_s=time.perf_counter() - t0,
-        extras={
-            "starts": [float(x) for x in admissible],
-            "skipped_degenerate_starts": [float(x) for x in skipped],
-            "medians": [float(v) for v in medians],
-            "expect": expect,
-        },
-    )
+    return _judged(name, statistic, thr, n_paths * len(admissible), rng, t0, {
+        "starts": [float(x) for x in admissible],
+        "skipped_degenerate_starts": [float(x) for x in skipped],
+        "medians": [float(v) for v in medians],
+        "expect": expect,
+    })

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
-from .stable_core import OutOfRangeError, Path, StableParams, _retimed, stream
+from .stable_core import OutOfRangeError, Path, StableParams, _keyed, _retimed, _seed_of
 
 __all__ = [
     "ExhaustedPathError",
@@ -95,16 +95,12 @@ def additive_functional(path: Path, s: SigmaFunction, alpha: float | None = None
     )
 
 
-def _plateaued(times: np.ndarray, cumvals: np.ndarray, rel_tol: float = 1e-3) -> bool:
-    """Has A stopped growing: relative growth over the last decade of the
-    time window below rel_tol?"""
-    end = times[-1]
-    if end <= 0 or cumvals[-1] <= 0:
-        return False
-    k = int(np.searchsorted(times, end / 10.0))
-    k = min(k, len(cumvals) - 1)
-    growth = cumvals[-1] - cumvals[k]
-    return bool(growth / cumvals[-1] < rel_tol)
+def _plateaued(total, late, rel_tol: float = 1e-3):
+    """Has the clock stopped growing: is its growth `late` over the last
+    decade of the window (from times[k], k = searchsorted(times, T/10)) below
+    rel_tol of its `total`?  Elementwise; a clock with no mass has not."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0, late / total, 1.0) < rel_tol
 
 
 def time_change_solve(
@@ -134,7 +130,8 @@ def time_change_solve(
             step=path.step,
             meta=meta,
         )
-    if _plateaued(A.times, A.cumvals):
+    k = min(int(np.searchsorted(A.times, A.times[-1] / 10.0)), A.cumvals.size - 1)
+    if _plateaued(A.final, A.final - A.cumvals[k]):
         return Path(
             A.cumvals,
             path.values,
@@ -228,23 +225,17 @@ def explosion_estimate(
     power at the self-similar scale X_t ~ t^{1/alpha}, so a geometric tail
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
     """
-    if not isinstance(rng, np.random.Generator):
-        seed = int(rng)
-        gens = None
-    else:
-        seed, gens = None, rng
+    if batch < 1:
+        raise OutOfRangeError("batch must be at least 1")
     ts = _explosion_grid(horizon, head_step, growth)
     dts = np.diff(ts)
     alpha = p.alpha
     k_decade = int(np.searchsorted(ts, horizon / 10.0))
     samples = np.empty(n_paths)
     flags = np.empty(n_paths, dtype=bool)
-    done = 0
-    bi = 0
-    while done < n_paths:
-        m = min(batch, n_paths - done)
-        gen = gens if gens is not None else stream(seed, bi)
-        incs = sample_increments_matrix(p, dts, m, gen)
+    for bi, first in enumerate(range(0, n_paths, batch)):
+        m = min(batch, n_paths - first)
+        incs = sample_increments_matrix(p, dts, m, _keyed(rng, bi))
         x = np.empty((m, ts.size))
         x[:, 0] = x0
         np.cumsum(incs, axis=1, out=x[:, 1:])
@@ -252,15 +243,11 @@ def explosion_estimate(
         f = np.asarray(s(x), dtype=float) ** (-alpha)
         a_inc = 0.5 * (f[:, 1:] + f[:, :-1]) * dts
         total = a_inc.sum(axis=1)
-        late = a_inc[:, max(k_decade - 1, 0):].sum(axis=1)
-        samples[done : done + m] = total
-        with np.errstate(invalid="ignore", divide="ignore"):
-            flags[done : done + m] = np.where(total > 0, late / total, 1.0) < 1e-3
-        done += m
-        bi += 1
+        samples[first : first + m] = total
+        flags[first : first + m] = _plateaued(total, a_inc[:, k_decade:].sum(axis=1))
     return ExplosionEstimate(
         n_paths=n_paths, horizon=float(horizon), samples=samples,
-        plateaued=flags, seed=seed,
+        plateaued=flags, seed=_seed_of(rng),
     )
 
 

@@ -205,12 +205,17 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
-    """Accept an int seed or a Generator; report the seed when known."""
+def _keyed(rng, *key: int) -> np.random.Generator:
+    """The stream (rng, *key) of an integer seed; a Generator is used as it
+    is (then results depend on call order, not only on the seed)."""
     if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = int(rng)
-    return stream(seed), seed
+        return rng
+    return stream(int(rng), *key)
+
+
+def _seed_of(rng) -> int | None:
+    """The seed to report for rng: None for a Generator."""
+    return None if isinstance(rng, np.random.Generator) else int(rng)
 
 
 def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -233,7 +238,7 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
     positive step lengths (one draw per entry).  Self-similarity:
     X_{t+dt} - X_t  =law=  dt^{1/alpha} X_1.
     """
-    gen, _ = _as_generator(rng)
+    gen = _keyed(rng)
     dt_arr = np.asarray(dt, dtype=float)
     if np.any(dt_arr < 0) or not np.all(np.isfinite(dt_arr)):
         raise OutOfRangeError("step lengths must be finite and nonnegative")
@@ -396,7 +401,7 @@ def sample_path(
     """
     if horizon < 0 or not math.isfinite(horizon):
         raise OutOfRangeError("horizon must be finite and nonnegative")
-    gen, seed = _as_generator(rng)
+    gen, seed = _keyed(rng), _seed_of(rng)
     if horizon == 0.0:
         return Path(np.zeros(1), np.full(1, float(x0)),
                     alpha=p.alpha, rho=p.rho, seed=seed, step=step)
@@ -418,7 +423,7 @@ def sample_path_at(p: StableParams, x0: float, times, rng=0) -> Path:
         raise ValueError("times must be a nonempty 1-D array")
     if t[0] < 0 or np.any(np.diff(t) < 0):
         raise OutOfRangeError("times must be nonnegative and nondecreasing")
-    gen, seed = _as_generator(rng)
+    gen, seed = _keyed(rng), _seed_of(rng)
     dts = np.diff(t)
     pos = dts > 0
     incs = np.zeros_like(dts)

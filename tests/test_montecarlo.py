@@ -16,6 +16,8 @@ from artifact import (
 )
 from artifact import montecarlo as mc
 from artifact.fluctuation_oracles import overshoot_cdf, strip_exit_density
+from artifact.sde_timechange import explosion_estimate
+from artifact.stable_core import OutOfRangeError, stream
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,35 @@ def test_interval_exit_unit_weight_sums_are_exit_times():
                                       rng=4, weight=np.ones_like, batch=200)
     assert np.all(out["steps"] >= 1)
     np.testing.assert_allclose(out["weighted_sums"], out["steps"] * 2e-3, rtol=1e-9)
+
+
+def test_capped_walk_is_interval_exit_truncated_at_the_cap():
+    # the lemma's h-grid reads exits within k_cap steps off a walk capped at
+    # k_cap: it stops the lanes the full walk stops by then, in order
+    p = StableParams(1.2, 0.5)
+    y, step, k_cap, n = 0.8, 2e-3, 250, 500
+    full = mc.interval_exit_occupation(p, y, -1.0, 1.0, step, n, rng=stream(7, 1003), batch=n)
+    ends = mc._walk(p, y, n, stream(7, 1003), n, lambda x: step,
+                    lambda x: (x <= -1.0) | (x >= 1.0), max_steps=k_cap)
+    s = int(np.sum(ends.code == mc._STOPPED))
+    assert 0 < s < n
+    assert np.all(ends.code[s:] == mc._MAX_STEPS)
+    assert np.all(full["steps"][:s] <= k_cap) and np.all(full["steps"][s:] > k_cap)
+    np.testing.assert_array_equal(ends.steps[:s], full["steps"][:s])
+    np.testing.assert_array_equal(ends.x[:s], full["exit_positions"][:s])
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda batch: mc.interval_exit_occupation(StableParams(1.5, 0.5), 0.2, -1.0, 1.0,
+                                              2e-3, 100, rng=0, batch=batch),
+    lambda batch: explosion_estimate(StableParams(0.5, 0.5),
+                                     parse_sigma_spec("power:c=1,theta=2"), x0=0.0,
+                                     horizon=10.0, n_paths=100, rng=0, batch=batch),
+], ids=["interval_exit_occupation", "explosion_estimate"])
+def test_batch_below_one_is_rejected(run, batch):
+    with pytest.raises(OutOfRangeError, match="batch"):
+        run(batch)
 
 
 # how each kernel reports paths that end at the horizon, run out of steps or

@@ -25,10 +25,12 @@ from artifact.sde_timechange import (
     _explosion_grid,
     additive_functional,
     explosion_estimate,
+    sample_increments_matrix,
     spatial_inversion,
     spatial_inversion_inverse,
     time_change_solve,
 )
+from artifact.stable_core import stream
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,27 @@ def test_explosion_estimate_batch_invariance():
     ma, mb = np.mean(a.samples), np.mean(b.samples)
     pooled = np.sqrt(np.var(a.samples) / 400 + np.var(b.samples) / 400)
     assert abs(ma - mb) < 6 * pooled
+
+
+def test_explosion_plateau_flags_match_time_change_solve():
+    # one plateau rule: a batch-0 driver of the estimator is flagged exactly
+    # when time_change_solve on the same grid reports it exploded
+    p = StableParams(0.5, 0.5)
+    s = parse_sigma_spec("power:c=1,theta=2")
+    n, horizon = 500, 1e3
+    est = explosion_estimate(p, s, x0=0.0, horizon=horizon, n_paths=n, rng=0, batch=n)
+    ts = _explosion_grid(horizon, 5e-3, 1.04)
+    incs = sample_increments_matrix(p, np.diff(ts), n, stream(0, 0))
+    drivers = np.concatenate((np.zeros((n, 1)), np.cumsum(incs, axis=1)), axis=1)
+    exploded = []
+    for values in drivers:
+        try:
+            z = time_change_solve(Path(ts, values, alpha=p.alpha), s, math.inf)
+            exploded.append(z.meta["exploded"])
+        except ExhaustedPathError:
+            exploded.append(False)
+    assert 0 < est.plateaued.sum() < n  # both verdicts occur
+    np.testing.assert_array_equal(est.plateaued, exploded)
 
 
 # ---------------------------------------------------------------------------
