@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import montecarlo as mc
-from .boundary_classifier import UndecidedIntegralError, classify, integral_I
+from .boundary_classifier import Domain, UndecidedIntegralError, classify, integral_I
 from .fluctuation_oracles import (
     cauchy_killed_potential,
     creep_probability,
@@ -34,8 +34,10 @@ from .fluctuation_oracles import (
     halfline_killed_potential,
     killed_potential_density,
     overshoot_cdf,
+    strip_exit_density,
 )
-from .sigma_model import PowerTail, parse_sigma_spec
+from .sde_timechange import explosion_estimate
+from .sigma_model import parse_sigma_spec
 from .stable_core import OutOfRangeError, StableParams, sample_path
 from .transforms import ExponentKind, LevyExponent, esscher_zero_check, mean_at_one
 
@@ -91,12 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-eval", help="evaluate one closed form (JSON)")
     common(sp)
-    sp.add_argument("--name", type=str, required=True, choices=[
-        "h_function", "overshoot_cdf", "creep_probability",
-        "expected_explosion_time", "killed_potential", "halfline_potential",
-        "cauchy_potential", "integral_test", "exponent", "exponent_mean",
-        "esscher_zero",
-    ])
+    sp.add_argument("--name", type=str, required=True, choices=list(_ORACLES))
     sp.add_argument("--sigma", type=str, default=None)
     sp.add_argument("--x", type=float, default=None)
     sp.add_argument("--y", type=float, default=None)
@@ -110,10 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run a named validation suite (JSON lines)")
     common(sp, required=False)
-    sp.add_argument("--suite", type=str, required=True, choices=[
-        "ks-self", "overshoot", "strip", "explosion-time", "occupation",
-        "lemma", "perpetual", "entrance",
-    ])
+    sp.add_argument("--suite", type=str, required=True, choices=list(_SUITES))
     sp.add_argument("--sigma", type=str, default=None)
     sp.add_argument("--n", type=int, default=None, help="paths (default per suite)")
     return ap
@@ -193,182 +187,104 @@ def _cmd_simulate(ns) -> int:
     return 0
 
 
-def _oracle_payload(ns) -> dict:
-    p = _params(ns) if ns.alpha is not None else None
-    name = ns.name
+def _result(res) -> dict:
+    return {"value": res.value, "abs_error_estimate": res.abs_error_estimate}
+
+
+def _complex(val: complex) -> dict:
+    return {"value": {"re": val.real, "im": val.imag}, "abs_error_estimate": 0.0}
+
+
+def _cauchy_potential(ns, p) -> dict:
+    if (ns.alpha, ns.rho) != (1.0, 0.5):
+        raise UsageError(
+            "cauchy_potential is the Cauchy row alpha = 1, rho = 0.5; "
+            f"got alpha = {ns.alpha}, rho = {ns.rho}"
+        )
+    return _result(cauchy_killed_potential(parse_sigma_spec(ns.sigma), ns.x, ns.y))
+
+
+# --domain spelling -> the classifier's domain
+_DOMAINS = {"positive": Domain.POS_HALF, "negative": Domain.NEG_HALF,
+            "two_sided": Domain.FULL_LINE}
+
+# oracle-eval --name -> (flags it requires, payload(ns, p)).  Rows call library
+# functions by module-global name so that a rebinding of those names (the
+# benchmark's tracer does this) is seen at call time.
+_ORACLES = {
+    "h_function": (("x",), lambda ns, p: _result(h_function(p, ns.x))),
+    "overshoot_cdf": (("z", "y"), lambda ns, p: _result(overshoot_cdf(p, ns.z, ns.level, ns.y))),
+    "creep_probability": (("x",), lambda ns, p: _result(creep_probability(p, ns.x))),
+    "expected_explosion_time": (("sigma",), lambda ns, p: _result(
+        expected_explosion_time(p, parse_sigma_spec(ns.sigma), ns.x0))),
+    "killed_potential": (("x", "y"), lambda ns, p: _result(
+        killed_potential_density(p, ns.x, ns.y))),
+    "halfline_potential": (("x", "y"), lambda ns, p: _result(
+        halfline_killed_potential(p, ns.x, ns.y))),
+    "cauchy_potential": (("sigma", "x", "y"), _cauchy_potential),
+    "integral_test": (("sigma",), lambda ns, p: {"verdict": integral_I(
+        parse_sigma_spec(ns.sigma), ns.alpha, _DOMAINS[ns.domain]).to_dict()}),
+    "exponent": (("kind", "z"), lambda ns, p: _complex(
+        LevyExponent(p, ExponentKind(ns.kind)).eval(complex(ns.z)))),
+    "exponent_mean": (("kind",), lambda ns, p: {
+        "value": mean_at_one(LevyExponent(p, ExponentKind(ns.kind))),
+        "abs_error_estimate": 1e-9}),
+    "esscher_zero": ((), lambda ns, p: _complex(esscher_zero_check(p))),
+}
+
+
+def _cmd_oracle(ns) -> int:
+    p = _params(ns)
+    required, payload = _ORACLES[ns.name]
+    for flag in required:
+        if getattr(ns, flag) is None:
+            raise UsageError(f"--{flag} is required for oracle {ns.name}")
     inputs = {
         k: getattr(ns, k)
         for k in ("alpha", "rho", "x", "y", "z", "level", "x0", "domain", "kind", "sigma")
         if getattr(ns, k, None) is not None
     }
-    if name == "h_function":
-        _require(ns, "x")
-        res = h_function(p, ns.x)
-    elif name == "overshoot_cdf":
-        _require(ns, "z", "y")
-        res = overshoot_cdf(p, ns.z, ns.level, ns.y)
-    elif name == "creep_probability":
-        _require(ns, "x")
-        res = creep_probability(p, ns.x)
-    elif name == "expected_explosion_time":
-        if ns.sigma is None:
-            raise UsageError("--sigma is required for expected_explosion_time")
-        res = expected_explosion_time(p, parse_sigma_spec(ns.sigma), ns.x0)
-    elif name == "killed_potential":
-        _require(ns, "x", "y")
-        res = killed_potential_density(p, ns.x, ns.y)
-    elif name == "halfline_potential":
-        _require(ns, "x", "y")
-        res = halfline_killed_potential(p, ns.x, ns.y)
-    elif name == "cauchy_potential":
-        if ns.sigma is None:
-            raise UsageError("--sigma is required for cauchy_potential")
-        _require(ns, "x", "y")
-        res = cauchy_killed_potential(parse_sigma_spec(ns.sigma), ns.x, ns.y)
-    elif name == "integral_test":
-        if ns.sigma is None:
-            raise UsageError("--sigma is required for integral_test")
-        from .boundary_classifier import Domain
-
-        verdict = integral_I(parse_sigma_spec(ns.sigma), ns.alpha, Domain(ns.domain))
-        return {"schema_version": SCHEMA_VERSION, "name": name,
-                "inputs": inputs, "verdict": verdict.to_dict()}
-    elif name in ("exponent", "exponent_mean", "esscher_zero"):
-        if name == "esscher_zero":
-            val = esscher_zero_check(p)
-            return {"schema_version": SCHEMA_VERSION, "name": name, "inputs": inputs,
-                    "value": {"re": val.real, "im": val.imag},
-                    "abs_error_estimate": 0.0}
-        if ns.kind is None:
-            raise UsageError("--kind is required for exponent evaluation")
-        exp = LevyExponent(p, ExponentKind(ns.kind))
-        if name == "exponent_mean":
-            return {"schema_version": SCHEMA_VERSION, "name": name, "inputs": inputs,
-                    "value": mean_at_one(exp), "abs_error_estimate": 1e-9}
-        _require(ns, "z")
-        val = exp.eval(complex(ns.z))
-        return {"schema_version": SCHEMA_VERSION, "name": name, "inputs": inputs,
-                "value": {"re": val.real, "im": val.imag},
-                "abs_error_estimate": 0.0}
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown oracle {name}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "inputs": inputs,
-        "value": res.value,
-        "abs_error_estimate": res.abs_error_estimate,
-    }
-
-
-def _require(ns, *names):
-    for nm in names:
-        if getattr(ns, nm) is None:
-            raise UsageError(f"--{nm} is required for oracle {ns.name}")
-
-
-def _cmd_oracle(ns) -> int:
-    payload = _oracle_payload(ns)
-    _emit(json.dumps(payload, sort_keys=True), ns.output)
+    doc = {"schema_version": SCHEMA_VERSION, "name": ns.name, "inputs": inputs,
+           **payload(ns, p)}
+    _emit(json.dumps(doc, sort_keys=True), ns.output)
     return 0
 
 
-_SUITE_DEFAULT_N = {
-    "ks-self": 100_000,
-    "overshoot": 100_000,
-    "strip": 30_000,
-    "explosion-time": 100_000,
-    "occupation": 100_000,
-    "lemma": 100_000,
-    "perpetual": 5_000,
-    "entrance": 4_000,
-}
+def _ks(name: str, bound: float, draw):
+    """A suite row that KS-tests draw(p, n, seed) -> (samples, cdf, extras)
+    against a fixed bound; runtime_s covers the draw and the KS evaluation."""
 
-
-def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
-    n = n if n is not None else _SUITE_DEFAULT_N[suite]
-
-    def params(default_alpha: float) -> StableParams:
-        return StableParams(alpha if alpha is not None else default_alpha,
-                            rho if rho is not None else 0.5)
-
-    t0 = time.perf_counter()
-    outcomes = []
-    if suite == "ks-self":
-        gen = np.random.default_rng(seed)
-        u = gen.random(n)
-        # inverse transform through an explicit CDF: exponential(1)
-        samples = -np.log1p(-u)
-        out = mc.ks_compare(
-            samples, lambda x: -np.expm1(-np.maximum(x, 0.0)),
-            threshold=0.02, name="ks_self_test", seed=seed,
-        )
+    def run(p, s, n, seed):
+        t0 = time.perf_counter()
+        samples, cdf, extras = draw(p, n, seed)
+        out = mc.ks_compare(samples, cdf, threshold=bound, name=name, seed=seed,
+                            extras=extras)
         out.runtime_s = time.perf_counter() - t0
-        outcomes.append(out)
-    elif suite == "overshoot":
-        p = params(1.5)
-        res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=seed)
-        out = mc.ks_compare(
-            res["depths"], lambda y: overshoot_cdf(p, 2.0, 0.0, y).value,
-            threshold=0.02, name="overshoot_law", seed=seed,
-            extras={"censored": res["censored"]},
-        )
-        out.runtime_s = time.perf_counter() - t0  # the KS evaluation included
-        outcomes.append(out)
-    elif suite == "strip":
-        p = params(0.7)
-        res = mc.strip_entry_samples(p, x0=2.0, half_width=1.0, n_paths=n, rng=seed)
-        cdf = _strip_entry_cdf_callable(p, x0=2.0)
-        out = mc.ks_compare(
-            res["positions"], cdf, threshold=0.03, name="strip_entry_law", seed=seed,
-            extras={"entry_fraction": res["entry_fraction"], "missed": res["missed"]},
-        )
-        out.runtime_s = time.perf_counter() - t0
-        outcomes.append(out)
-    elif suite == "explosion-time":
-        p = params(0.5)
-        s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
-        outcomes.append(_explosion_time_outcome(p, s, n, seed))
-    elif suite == "occupation":
-        p = params(1.5)
-        s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
-        outcomes.append(mc.occupation_vs_potential(
-            p, s, x0=0.5, window=(1.0, 2.0), n_paths=n, rng=seed,
-        ))
-    elif suite == "lemma":
-        p = params(1.2)
-        outcomes.append(mc.occupation_potential_lemma(p, n_paths=n, rng=seed))
-    elif suite == "perpetual":
-        outcomes.append(mc.perpetual_integral_law(
-            1.0, lambda x: np.exp(-x), n_paths=n, rng=seed, expect="finite",
-            name="perpetual_integral_exp",
-        ))
-        outcomes.append(mc.perpetual_integral_law(
-            1.0, lambda x: 1.0 / (1.0 + np.abs(x)), n_paths=n, rng=seed,
-            expect="infinite", name="perpetual_integral_harmonic",
-        ))
-    elif suite == "entrance":
-        p = params(1.5)
-        s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
-        outcomes.append(mc.entrance_proxy(
-            p, s, level=10.0, starts=(100.0, 1000.0), n_paths=n, rng=seed,
-            expect="stabilize",
-        ))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown suite {suite}")
-    return outcomes
+        return [out]
+
+    return run
 
 
-def _strip_entry_cdf_callable(p: StableParams, x0: float):
-    from .fluctuation_oracles import strip_exit_density
+def _exponential(p, n, seed):
+    u = np.random.default_rng(seed).random(n)
+    # inverse transform through an explicit CDF: exponential(1)
+    return -np.log1p(-u), lambda x: -np.expm1(-np.maximum(x, 0.0)), {}
 
-    dens = lambda y: strip_exit_density(p, x0, y).value
-    return mc.cdf_from_density(dens, -1.0, 1.0)
+
+def _overshoot_depths(p, n, seed):
+    res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=seed)
+    return (res["depths"], lambda y: overshoot_cdf(p, 2.0, 0.0, y).value,
+            {"censored": res["censored"]})
 
 
-def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
-    from .sde_timechange import explosion_estimate
+def _strip_positions(p, n, seed):
+    res = mc.strip_entry_samples(p, x0=2.0, half_width=1.0, n_paths=n, rng=seed)
+    cdf = mc.cdf_from_density(lambda y: strip_exit_density(p, 2.0, y).value, -1.0, 1.0)
+    return (res["positions"], cdf,
+            {"entry_fraction": res["entry_fraction"], "missed": res["missed"]})
 
+
+def _explosion_time(p, s, n, seed):
     t0 = time.perf_counter()
     target = expected_explosion_time(p, s, 0.0).value
     est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
@@ -376,10 +292,42 @@ def _explosion_time_outcome(p, s, n, seed) -> mc.ValidationOutcome:
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1)) / np.sqrt(samples.size)
     rel = abs(mean - target) / target
-    return mc._judged("explosion_time_vs_potential", rel, 0.05, n, seed, t0, {
+    return [mc._judged("explosion_time_vs_potential", rel, 0.05, n, seed, t0, {
         "mc_mean": mean, "mc_se": se, "target": float(target),
         "plateau_fraction": est.plateau_fraction,
-    })
+    })]
+
+
+# validate --suite -> (default alpha, default n, run(p, sigma, n, seed) -> outcomes).
+# Rows call library functions by module-global name, as in _ORACLES.
+_SUITES = {
+    "ks-self": (1.5, 100_000, _ks("ks_self_test", 0.02, _exponential)),
+    "overshoot": (1.5, 100_000, _ks("overshoot_law", 0.02, _overshoot_depths)),
+    "strip": (0.7, 30_000, _ks("strip_entry_law", 0.03, _strip_positions)),
+    "explosion-time": (0.5, 100_000, _explosion_time),
+    "occupation": (1.5, 100_000, lambda p, s, n, seed: [mc.occupation_vs_potential(
+        p, s, x0=0.5, window=(1.0, 2.0), n_paths=n, rng=seed)]),
+    "lemma": (1.2, 100_000, lambda p, s, n, seed: [
+        mc.occupation_potential_lemma(p, n_paths=n, rng=seed)]),
+    "perpetual": (1.5, 5_000, lambda p, s, n, seed: [
+        mc.perpetual_integral_law(1.0, lambda x: np.exp(-x), n_paths=n, rng=seed,
+                                  expect="finite", name="perpetual_integral_exp"),
+        mc.perpetual_integral_law(1.0, lambda x: 1.0 / (1.0 + np.abs(x)), n_paths=n,
+                                  rng=seed, expect="infinite",
+                                  name="perpetual_integral_harmonic"),
+    ]),
+    "entrance": (1.5, 4_000, lambda p, s, n, seed: [mc.entrance_proxy(
+        p, s, level=10.0, starts=(100.0, 1000.0), n_paths=n, rng=seed,
+        expect="stabilize")]),
+}
+
+
+def _run_suite(suite: str, seed: int, n: int | None, alpha, rho, sigma_spec):
+    default_alpha, default_n, run = _SUITES[suite]
+    p = StableParams(alpha if alpha is not None else default_alpha,
+                     rho if rho is not None else 0.5)
+    s = parse_sigma_spec(sigma_spec or "power:c=1,theta=2")
+    return run(p, s, n if n is not None else default_n, seed)
 
 
 def _cmd_validate(ns) -> int:

@@ -243,6 +243,8 @@ def _walk(
     after max_steps iterations end with _MAX_STEPS.  on_batch() is called
     after each batch.
     """
+    if n_paths < 1:
+        raise OutOfRangeError("n_paths must be at least 1")
     if batch < 1:
         raise OutOfRangeError("batch must be at least 1")
     timed = math.isfinite(horizon)
@@ -693,6 +695,8 @@ def perpetual_integral_law(
     """
     if expect not in ("finite", "infinite"):
         raise OutOfRangeError("expect must be 'finite' or 'infinite'")
+    if n_paths < 1:
+        raise OutOfRangeError("n_paths must be at least 1")
     t0 = time.perf_counter()
     n_steps = int(round(horizon / step))
     k_decade = int(round(n_steps / 10))

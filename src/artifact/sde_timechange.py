@@ -225,6 +225,8 @@ def explosion_estimate(
     power at the self-similar scale X_t ~ t^{1/alpha}, so a geometric tail
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
     """
+    if n_paths < 1:
+        raise OutOfRangeError("n_paths must be at least 1")
     if batch < 1:
         raise OutOfRangeError("batch must be at least 1")
     ts = _explosion_grid(horizon, head_step, growth)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from artifact import Path, StableParams
+from artifact import Domain, Path, StableParams, integral_I, parse_sigma_spec
 from artifact import cli
 from artifact import montecarlo as mc
 
@@ -113,11 +113,54 @@ def test_oracle_eval_schema_and_value(capsys):
 
 
 def test_oracle_eval_expected_explosion_time(capsys):
-    code, out, _ = _run(capsys, "oracle-eval", "--name", "expected_explosion_time",
-                        "--alpha", "0.5", "--rho", "0.5",
-                        "--sigma", "power:c=1,theta=2", "--x", "0.0")
+    for x0, expected in (("0.0", 2.958675119188628), ("1.0", 2.706350783028827)):
+        code, out, _ = _run(capsys, "oracle-eval", "--name", "expected_explosion_time",
+                            "--alpha", "0.5", "--rho", "0.5",
+                            "--sigma", "power:c=1,theta=2", "--x0", x0)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("domain, expected", [
+    ("positive", Domain.POS_HALF), ("negative", Domain.NEG_HALF),
+    ("two_sided", Domain.FULL_LINE),
+])
+def test_oracle_eval_integral_test_each_domain(capsys, domain, expected):
+    code, out, _ = _run(capsys, "oracle-eval", "--name", "integral_test",
+                        "--alpha", "1.5", "--rho", "0.5",
+                        "--sigma", "power:c=1,theta=2", "--domain", domain)
     assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(2.958675119188628, rel=1e-9)
+    doc = json.loads(out)
+    assert doc["inputs"]["domain"] == domain
+    assert doc["verdict"] == integral_I(parse_sigma_spec("power:c=1,theta=2"), 1.5,
+                                        expected).to_dict()
+
+
+@pytest.mark.parametrize("alpha, rho", [("1.5", "0.5"), ("0.5", "0.9")])
+def test_oracle_eval_cauchy_potential_needs_the_cauchy_driver(capsys, alpha, rho):
+    args = ("oracle-eval", "--name", "cauchy_potential", "--sigma", "power:c=1,theta=2",
+            "--x", "2.0", "--y", "3.0")
+    code, out, err = _run(capsys, *args, "--alpha", alpha, "--rho", rho)
+    assert code == 2 and out == ""
+    assert "cauchy_potential" in err
+    code, out, _ = _run(capsys, *args, "--alpha", "1", "--rho", "0.5")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(0.07297036638221358, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, (required, _) in cli._ORACLES.items() for flag in required
+])
+def test_oracle_eval_missing_required_flag(capsys, name, flag):
+    given = {"sigma": "power:c=1,theta=2", "x": "2.0", "y": "3.0", "z": "0.7",
+             "kind": "radial"}
+    argv = ["oracle-eval", "--name", name, "--alpha", "1.5", "--rho", "0.5"]
+    for k, v in given.items():
+        if k != flag:
+            argv += [f"--{k}", v]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"--{flag} is required for oracle {name}" in err
 
 
 def test_oracle_eval_unknown_name_usage_error(capsys):
@@ -176,6 +219,14 @@ def test_validate_alpha_optional(capsys):
     code, out, _ = _run(capsys, "validate", "--suite", "ks-self", "--n", "2000")
     assert code == 0
     assert json.loads(out)["name"] == "ks_self_test"
+
+
+@pytest.mark.parametrize("suite", ["strip", "perpetual"])
+def test_validate_no_paths_is_usage_error(capsys, suite):
+    code, out, err = _run(capsys, "validate", "--suite", suite, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "n_paths" in err
 
 
 @pytest.mark.parametrize("suite", ["ks-self", "overshoot", "strip"])

@@ -15,7 +15,7 @@ from artifact import (
     parse_sigma_spec,
 )
 from artifact import montecarlo as mc
-from artifact.fluctuation_oracles import overshoot_cdf, strip_exit_density
+from artifact.fluctuation_oracles import creep_probability, overshoot_cdf, strip_exit_density
 from artifact.sde_timechange import explosion_estimate
 from artifact.stable_core import OutOfRangeError, stream
 
@@ -115,6 +115,22 @@ def test_overshoot_kernel_deterministic():
     np.testing.assert_array_equal(a["depths"], b["depths"])
 
 
+def test_creep_probability_is_the_upward_exit_fraction():
+    # a spectrally negative driver leaves (0, 1) upward only by creeping, so
+    # the upward count is binomial with p = x^(alpha-1); the Brownian p = x
+    # is the negative control
+    p, x, n = StableParams(1.5, 1.0 / 1.5), 0.5, 4000
+    res = mc.exit_interval_samples(p, x, lo=0.0, hi=1.0, n_paths=n, rng=0)
+    assert res["exit_positions"].size == n
+    up = float(np.mean(res["exit_positions"] >= 1.0))
+
+    def z(prob):
+        return (up - prob) / math.sqrt(prob * (1.0 - prob) / n)
+
+    assert abs(z(creep_probability(p, x).value)) <= 3.0
+    assert abs(z(x)) > 10.0
+
+
 def test_strip_entry_transient_misses_and_determinism():
     p = StableParams(0.7, 0.5)
     out = mc.strip_entry_samples(p, x0=2.0, half_width=1.0, n_paths=2000, rng=0)
@@ -203,6 +219,18 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
 def test_batch_below_one_is_rejected(run, batch):
     with pytest.raises(OutOfRangeError, match="batch"):
         run(batch)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: mc.interval_exit_occupation(StableParams(1.5, 0.5), 0.2, -1.0, 1.0,
+                                        2e-3, 0, rng=0),
+    lambda: explosion_estimate(StableParams(0.5, 0.5), parse_sigma_spec("power:c=1,theta=2"),
+                               x0=0.0, horizon=10.0, n_paths=0, rng=0),
+    lambda: mc.perpetual_integral_law(1.0, lambda x: np.exp(-x), n_paths=0, rng=0),
+], ids=["interval_exit_occupation", "explosion_estimate", "perpetual_integral_law"])
+def test_no_paths_is_rejected(run):
+    with pytest.raises(OutOfRangeError, match="n_paths"):
+        run()
 
 
 # how each kernel reports paths that end at the horizon, run out of steps or
