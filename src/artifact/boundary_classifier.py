@@ -14,7 +14,10 @@ Both maps are governed by finiteness of the tail functional
 
 over the relevant half-line or the full line, except at alpha = 1 where the
 entrance condition uses the log variant int sigma(x)^{-1} log|x| dx instead.
-The classification matrix (alpha against jump sidedness):
+The classification matrix (alpha against jump sidedness) is held as data:
+``_REACH`` maps each sidedness to its boundary point and integral domain, and
+``_EXPLOSION_ROWS``, ``_ENTRANCE_ROWS`` and ``_CAUCHY_ROW`` give each row's
+rule and the reasons for its crosses:
 
 explosion:
     alpha < 1, increasing       -> tick at +inf  iff I(R_+) < inf
@@ -138,28 +141,22 @@ _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 _METHODS = ("auto", "analytic_tail", "adaptive_quadrature")
 
 
-def _structural_tail(s: SigmaFunction, positive: bool) -> tuple[str, float | None, float | None]:
-    """(kind, theta, log_q) describing the tail of sigma on the given side.
-
-    kind: "power" (bare declared exponent), "logpower" (power theta with a
-    (log)^q factor), or "unknown".
-    """
+def _structural_tail(s: SigmaFunction, positive: bool) -> tuple[float, float] | None:
+    """(theta, q) with sigma ~ |x|^theta (log|x|)^q on the given side, or None
+    when sigma declares no tail there."""
     if isinstance(s, LogPower):
-        return "logpower", s.theta, s.q
+        return s.theta, s.q
     if isinstance(s, Composite):
-        theta = 0.0
-        q = 0.0
+        theta = q = 0.0
         for part in s.parts:
-            kind, th, qq = _structural_tail(part, positive)
-            if kind == "unknown":
-                return "unknown", None, None
-            theta += th
-            q += 0.0 if qq is None else qq
-        return ("logpower" if q else "power"), theta, (q or None)
+            tail = _structural_tail(part, positive)
+            if tail is None:
+                return None
+            theta += tail[0]
+            q += tail[1]
+        return theta, q
     t = s.tail_plus if positive else s.tail_minus
-    if t is None:
-        return "unknown", None, None
-    return "power", float(t), None
+    return None if t is None else (float(t), 0.0)
 
 
 def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> FinitenessVerdict:
@@ -174,9 +171,9 @@ def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> Fi
     positive = domain == Domain.POS_HALF
     g, head = half(1.0 if positive else -1.0)
     if method != "adaptive_quadrature":
-        kind, theta, q = _structural_tail(s, positive)
-        if kind != "unknown":
-            return _tail_rule(g, head, domain, *tail(theta, 0.0 if q is None else q))
+        structure = _structural_tail(s, positive)
+        if structure is not None:
+            return _tail_rule(g, head, domain, *tail(*structure))
         if method == "analytic_tail":
             return FinitenessVerdict("undecided", domain, Method.ANALYTIC_TAIL)
     return _ladder(g, head, domain)
@@ -319,6 +316,54 @@ def integral_log(s: SigmaFunction, method: str = "auto") -> FinitenessVerdict:
 
 BOUNDARY_POINTS = ("+inf", "-inf", "pm_inf")
 
+# sidedness -> (the boundary point its rows test, the domain of that test)
+_REACH = {
+    Sidedness.SPECTRALLY_POSITIVE: ("+inf", Domain.POS_HALF),
+    Sidedness.SPECTRALLY_NEGATIVE: ("-inf", Domain.NEG_HALF),
+    Sidedness.TWO_SIDED: ("pm_inf", Domain.FULL_LINE),
+}
+
+# A row is (the tested point's rule, {each other point: why it is crossed}).
+# No table stores the integral functions: classify names them at call time, so
+# that a rebinding of those module names is seen.
+_MONOTONE = "monotone paths have a one-sided limit"
+_OSCILLATE = "two-sided jumps oscillate: one-sided explosion impossible"
+_EXPLOSION_ROWS = {  # alpha < 1
+    Sidedness.SPECTRALLY_POSITIVE: (
+        "explosion map, row alpha<1 increasing: reachable endpoint +inf, test I(sigma,alpha; R_+)",
+        {"-inf": "increasing paths cannot approach -inf", "pm_inf": _MONOTONE}),
+    Sidedness.SPECTRALLY_NEGATIVE: (
+        "explosion map, row alpha<1 decreasing: reachable endpoint -inf, test I(sigma,alpha; R_-)",
+        {"+inf": "decreasing paths cannot approach +inf", "pm_inf": _MONOTONE}),
+    Sidedness.TWO_SIDED: (
+        "explosion map, row alpha<1 two-sided: oscillating escape pm_inf, test I(sigma,alpha; R)",
+        {"+inf": _OSCILLATE, "-inf": _OSCILLATE}),
+}
+_ONE_SIDED = "one-sided case: entrance is one-sided"
+_AT_PM_INF = "two-sided case: entrance is the pm_inf point"
+_ENTRANCE_ROWS = {  # alpha in (1, 2)
+    Sidedness.SPECTRALLY_POSITIVE: (
+        "entrance map, row alpha in (1,2) spectrally positive: entrance "
+        "at +inf, test I(sigma,alpha; R_+)",
+        {"-inf": "no downward jumps: -inf is not an entrance", "pm_inf": _ONE_SIDED}),
+    Sidedness.SPECTRALLY_NEGATIVE: (
+        "entrance map, row alpha in (1,2) spectrally negative: entrance "
+        "at -inf, test I(sigma,alpha; R_-)",
+        {"+inf": "no upward jumps: +inf is not an entrance", "pm_inf": _ONE_SIDED}),
+    Sidedness.TWO_SIDED: (
+        "entrance map, row alpha in (1,2) two-sided: entrance at pm_inf, test I(sigma,alpha; R)",
+        {"+inf": _AT_PM_INF, "-inf": _AT_PM_INF}),
+}
+_TWO_SIDED_CAUCHY = "alpha=1 entrance is a two-sided (pm_inf) phenomenon"
+_CAUCHY_ROW = (  # alpha = 1, where the driver is always two-sided
+    "entrance map, row alpha=1 two-sided: test int sigma^{-1} log|x| dx",
+    {"+inf": _TWO_SIDED_CAUCHY, "-inf": _TWO_SIDED_CAUCHY})
+_NO_EXPLOSION = "explosion requires alpha < 1 (time change cannot exhaust otherwise)"
+_NO_ENTRANCE = (
+    "entrance map, rows alpha<1: no entrance from infinity "
+    "(monotone escape or transient oscillation)"
+)
+
 
 @dataclass(frozen=True)
 class RowVerdict:
@@ -364,102 +409,35 @@ class BoundaryReport:
         return [k for k, v in table.items() if v.verdict == "tick"]
 
 
-def _cross(justification: str) -> RowVerdict:
-    return RowVerdict("cross", justification)
+def _crosses(reason: str) -> dict:
+    return {k: RowVerdict("cross", reason) for k in BOUNDARY_POINTS}
 
 
-def _from_integral(v: FinitenessVerdict, rule: str) -> RowVerdict:
-    if v.status == "undecided":
-        return RowVerdict("undecided", rule + "; integral undecided", v)
-    if v.finite:
-        return RowVerdict("tick", rule + "; integral finite", v)
-    return RowVerdict("cross", rule + "; integral infinite", v)
+_MARKS = {"finite": "tick", "infinite": "cross", "undecided": "undecided"}
+
+
+def _tested(row, point: str, v: FinitenessVerdict) -> dict:
+    """The map whose tested row sits at point and is decided by v; every other
+    point is crossed for the row's reason there."""
+    rule, others = row
+    return {
+        k: RowVerdict(_MARKS[v.status], f"{rule}; integral {v.status}", v)
+        if k == point else RowVerdict("cross", others[k])
+        for k in BOUNDARY_POINTS
+    }
 
 
 def classify(p: StableParams, s: SigmaFunction, method: str = "auto") -> BoundaryReport:
     """Explosion and entrance maps for dZ = sigma(Z-) dX with driver (alpha, rho)."""
     a = _check_alpha(p.alpha)
-    side = p.sidedness
-    explosion = {k: None for k in BOUNDARY_POINTS}
-    entrance = {k: None for k in BOUNDARY_POINTS}
-
-    no_explosion = "explosion requires alpha < 1 (time change cannot exhaust otherwise)"
+    point, domain = _REACH[p.sidedness]
     if a < 1.0:
-        if side is Sidedness.SPECTRALLY_POSITIVE:  # increasing paths
-            v = integral_I(s, a, Domain.POS_HALF, method)
-            explosion["+inf"] = _from_integral(
-                v, "explosion map, row alpha<1 increasing: reachable endpoint +inf, "
-                   "test I(sigma,alpha; R_+)"
-            )
-            explosion["-inf"] = _cross("increasing paths cannot approach -inf")
-            explosion["pm_inf"] = _cross("monotone paths have a one-sided limit")
-        elif side is Sidedness.SPECTRALLY_NEGATIVE:  # decreasing paths
-            v = integral_I(s, a, Domain.NEG_HALF, method)
-            explosion["-inf"] = _from_integral(
-                v, "explosion map, row alpha<1 decreasing: reachable endpoint -inf, "
-                   "test I(sigma,alpha; R_-)"
-            )
-            explosion["+inf"] = _cross("decreasing paths cannot approach +inf")
-            explosion["pm_inf"] = _cross("monotone paths have a one-sided limit")
-        else:
-            v = integral_I(s, a, Domain.FULL_LINE, method)
-            explosion["pm_inf"] = _from_integral(
-                v, "explosion map, row alpha<1 two-sided: oscillating escape pm_inf, "
-                   "test I(sigma,alpha; R)"
-            )
-            explosion["+inf"] = _cross(
-                "two-sided jumps oscillate: one-sided explosion impossible"
-            )
-            explosion["-inf"] = _cross(
-                "two-sided jumps oscillate: one-sided explosion impossible"
-            )
+        explosion = _tested(_EXPLOSION_ROWS[p.sidedness], point, integral_I(s, a, domain, method))
+        entrance = _crosses(_NO_ENTRANCE)
     else:
-        for k in BOUNDARY_POINTS:
-            explosion[k] = _cross(no_explosion)
-
-    if a < 1.0:
-        reason = (
-            "entrance map, rows alpha<1: no entrance from infinity "
-            "(monotone escape or transient oscillation)"
-        )
-        for k in BOUNDARY_POINTS:
-            entrance[k] = _cross(reason)
-    elif a == 1.0:
-        v = integral_log(s, method)
-        entrance["pm_inf"] = _from_integral(
-            v, "entrance map, row alpha=1 two-sided: test int sigma^{-1} log|x| dx"
-        )
-        entrance["+inf"] = _cross("alpha=1 entrance is a two-sided (pm_inf) phenomenon")
-        entrance["-inf"] = _cross("alpha=1 entrance is a two-sided (pm_inf) phenomenon")
-    else:
-        if side is Sidedness.SPECTRALLY_POSITIVE:
-            v = integral_I(s, a, Domain.POS_HALF, method)
-            entrance["+inf"] = _from_integral(
-                v, "entrance map, row alpha in (1,2) spectrally positive: entrance "
-                   "at +inf, test I(sigma,alpha; R_+)"
-            )
-            entrance["-inf"] = _cross("no downward jumps: -inf is not an entrance")
-            entrance["pm_inf"] = _cross("one-sided case: entrance is one-sided")
-        elif side is Sidedness.SPECTRALLY_NEGATIVE:
-            v = integral_I(s, a, Domain.NEG_HALF, method)
-            entrance["-inf"] = _from_integral(
-                v, "entrance map, row alpha in (1,2) spectrally negative: entrance "
-                   "at -inf, test I(sigma,alpha; R_-)"
-            )
-            entrance["+inf"] = _cross("no upward jumps: +inf is not an entrance")
-            entrance["pm_inf"] = _cross("one-sided case: entrance is one-sided")
+        explosion = _crosses(_NO_EXPLOSION)
+        if a == 1.0:
+            entrance = _tested(_CAUCHY_ROW, point, integral_log(s, method))
         else:
-            v = integral_I(s, a, Domain.FULL_LINE, method)
-            entrance["pm_inf"] = _from_integral(
-                v, "entrance map, row alpha in (1,2) two-sided: entrance at pm_inf, "
-                   "test I(sigma,alpha; R)"
-            )
-            entrance["+inf"] = _cross("two-sided case: entrance is the pm_inf point")
-            entrance["-inf"] = _cross("two-sided case: entrance is the pm_inf point")
-
-    return BoundaryReport(
-        params=p,
-        sigma_description=s.describe(),
-        explosion=explosion,
-        entrance=entrance,
-    )
+            entrance = _tested(_ENTRANCE_ROWS[p.sidedness], point, integral_I(s, a, domain, method))
+    return BoundaryReport(p, s.describe(), explosion, entrance)

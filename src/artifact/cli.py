@@ -38,7 +38,7 @@ from .fluctuation_oracles import (
 )
 from .sde_timechange import explosion_estimate
 from .sigma_model import parse_sigma_spec
-from .stable_core import OutOfRangeError, StableParams, sample_path
+from .stable_core import StableParams, sample_path
 from .transforms import ExponentKind, LevyExponent, esscher_zero_check, mean_at_one
 
 SCHEMA_VERSION = "1"
@@ -100,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=float, default=None)
     sp.add_argument("--level", type=float, default=0.0)
     sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--domain", type=str, default="two_sided",
-                    choices=["positive", "negative", "two_sided"])
+    sp.add_argument("--domain", type=str, default="two_sided", choices=list(_DOMAINS))
     sp.add_argument("--kind", type=str, default=None,
                     choices=[k.value for k in ExponentKind])
 
@@ -288,10 +287,7 @@ def _explosion_time(p, s, n, seed):
     t0 = time.perf_counter()
     target = expected_explosion_time(p, s, 0.0).value
     est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
-    samples = est.plateaued_samples
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1)) / np.sqrt(samples.size)
-    rel = abs(mean - target) / target
+    mean, se, rel = mc._mean_vs_target(est.plateaued_samples, target)
     return [mc._judged("explosion_time_vs_potential", rel, 0.05, n, seed, t0, {
         "mc_mean": mean, "mc_se": se, "target": float(target),
         "plateau_fraction": est.plateau_fraction,
@@ -355,10 +351,7 @@ def run(argv=None) -> int:
         if ns.subcommand == "validate":
             return _cmd_validate(ns)
         raise UsageError(f"unknown subcommand {ns.subcommand}")  # pragma: no cover
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OutOfRangeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except UndecidedIntegralError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .boundary_classifier import Domain, integral_I
+from .boundary_classifier import _REACH, integral_I
 from .sigma_model import SigmaFunction
 from .stable_core import DomainError, OutOfRangeError, Sidedness, StableParams
 
@@ -388,14 +388,7 @@ def expected_explosion_time(p: StableParams, s: SigmaFunction, x0: float) -> Ora
         raise OutOfRangeError("explosion requires alpha < 1")
     x0 = float(x0)
     a = p.alpha
-    side = p.sidedness
-    if side is Sidedness.SPECTRALLY_POSITIVE:
-        domain = Domain.POS_HALF
-    elif side is Sidedness.SPECTRALLY_NEGATIVE:
-        domain = Domain.NEG_HALF
-    else:
-        domain = Domain.FULL_LINE
-    verdict = integral_I(s, a, domain)
+    verdict = integral_I(s, a, _REACH[p.sidedness][1])
     if not verdict.decided:
         raise RuntimeError(
             "cannot certify finiteness of the explosion integral for this sigma"
@@ -403,9 +396,8 @@ def expected_explosion_time(p: StableParams, s: SigmaFunction, x0: float) -> Ora
     if not verdict.finite:
         return OracleResult(math.inf, 0.0)
 
-    coeff = abs(math.gamma(1.0 - a)) / math.pi
-    cplus = coeff * math.sin(math.pi * a * p.rho_hat)  # weight of h on w > 0 (y < x0)
-    cminus = coeff * math.sin(math.pi * a * p.rho)  # weight of h on w < 0 (y > x0)
+    cplus = h_function(p, 1.0).value  # weight of h on w > 0 (y < x0)
+    cminus = h_function(p, -1.0).value  # weight of h on w < 0 (y > x0)
 
     total, err = 0.0, 0.0
     # below the start: w = x0 - y > 0, u = (x0 - y)^alpha near the singularity

@@ -49,7 +49,8 @@ __all__ = [
 
 
 class TooFewSamplesError(ValueError):
-    """A distributional comparison needs at least 100 effective samples."""
+    """Too few samples for a comparison: a distributional one needs at least
+    100, a mean with its standard error at least 2."""
 
 
 MIN_KS_SAMPLES = 100
@@ -542,6 +543,17 @@ def exit_interval_samples(
 # high-level validations
 
 
+def _mean_vs_target(samples: np.ndarray, target: float) -> tuple[float, float, float]:
+    """(mean, standard error, relative error against target) of samples."""
+    if samples.size < 2:
+        raise TooFewSamplesError(
+            f"{samples.size} samples < 2; a mean with its standard error needs two"
+        )
+    mean = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+    return mean, se, abs(mean - target) / abs(target)
+
+
 def occupation_vs_potential(
     p: StableParams,
     s: SigmaFunction,
@@ -558,9 +570,6 @@ def occupation_vs_potential(
     window: relative error as the statistic, z-score in extras."""
     t0 = time.perf_counter()
     res = origin_kill_occupation(p, x0, s, window, n_paths, rng, **kernel_kwargs)
-    occ = res["occupations"]
-    mean = float(np.mean(occ))
-    se = float(np.std(occ, ddof=1)) / math.sqrt(occ.size)
     al = p.alpha
 
     def integrand(y):
@@ -569,7 +578,7 @@ def occupation_vs_potential(
     target, terr = integrate.quad(
         integrand, window[0], window[1], limit=200, points=[x0] if window[0] < x0 < window[1] else None
     )
-    rel = abs(mean - target) / abs(target)
+    mean, se, rel = _mean_vs_target(res["occupations"], target)
     z = (mean - target) / se if se > 0 else math.inf
     return _judged(name, rel, threshold, n_paths, rng, t0, {
         "mc_mean": mean,
@@ -612,6 +621,8 @@ def occupation_potential_lemma(
     with the h-grid sampling error propagated through the accumulated
     interpolation weights.  Pass: |z| <= threshold.
     """
+    if n_paths < 1:
+        raise OutOfRangeError("n_paths must be at least 1")
     t0 = time.perf_counter()
     lo, hi = interval
     k_cap = int(round(a / step))

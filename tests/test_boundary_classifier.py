@@ -20,6 +20,8 @@ from artifact import (
     integral_log,
     parse_sigma_spec,
 )
+from artifact.boundary_classifier import _REACH
+from artifact.fluctuation_oracles import expected_explosion_time
 
 TICK, CROSS = "tick", "cross"
 
@@ -183,6 +185,32 @@ def test_entrance_below_one_never():
     for rho in (0.0, 0.5, 1.0):
         rep = classify(StableParams(0.5, rho), PowerTail(c=1.0, theta=2.0))
         assert rep.ticks("entrance") == []
+
+
+# (alpha, rho) of an increasing, a decreasing and a two-sided driver, and of a
+# spectrally positive, a spectrally negative and a two-sided one
+_SIDES = [(0.5, 1.0), (0.5, 0.0), (0.5, 0.5)]
+_ENTRANCE_SIDES = [(1.5, 1.0 - 1.0 / 1.5), (1.5, 1.0 / 1.5), (1.5, 0.5)]
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+@pytest.mark.parametrize("alpha, rho", _SIDES)
+def test_explosion_oracle_finite_exactly_at_the_tested_tick(alpha, rho, theta):
+    p, s = StableParams(alpha, rho), PowerTail(c=1.0, theta=theta)
+    point = _REACH[p.sidedness][0]
+    ticked = classify(p, s).explosion[point].verdict == TICK
+    assert ticked == (theta > 1.0)
+    assert math.isfinite(expected_explosion_time(p, s, 0.0).value) == ticked
+
+
+@pytest.mark.parametrize("alpha, rho", _SIDES + _ENTRANCE_SIDES + [(1.0, 0.5)])
+def test_tested_row_integrates_over_the_reach_domain(alpha, rho):
+    p = StableParams(alpha, rho)
+    point, domain = _REACH[p.sidedness]
+    rep = classify(p, PowerTail(c=1.0, theta=2.0))
+    rows = rep.explosion if alpha < 1.0 else rep.entrance
+    assert rows[point].integral.domain is domain
+    assert all(rows[k].integral is None for k in rows if k != point)
 
 
 def test_report_json_schema():

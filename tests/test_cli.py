@@ -229,6 +229,15 @@ def test_validate_no_paths_is_usage_error(capsys, suite):
     assert "n_paths" in err
 
 
+@pytest.mark.parametrize("suite", ["explosion-time", "occupation"])
+def test_validate_one_path_is_usage_error(capsys, suite):
+    # a mean with a standard error needs two samples; one used to print NaN
+    code, out, err = _run(capsys, "validate", "--suite", suite, "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
 @pytest.mark.parametrize("suite", ["ks-self", "overshoot", "strip"])
 def test_ks_suites_report_runtime(suite):
     (out,) = cli._run_suite(suite, 0, 300, None, None, None)

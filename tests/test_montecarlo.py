@@ -208,6 +208,18 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
     np.testing.assert_array_equal(ends.x[:s], full["exit_positions"][:s])
 
 
+def _lemma_without_walks(**kwargs):
+    """The lemma with every path walk made an error: a rejected count must be
+    rejected before the h-grid stage, which alone takes seconds."""
+
+    def walk(*args, **kw):
+        raise AssertionError("a path was walked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_walk", walk)
+        return mc.occupation_potential_lemma(StableParams(1.2, 0.5), rng=0, **kwargs)
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 @pytest.mark.parametrize("run", [
     lambda batch: mc.interval_exit_occupation(StableParams(1.5, 0.5), 0.2, -1.0, 1.0,
@@ -227,7 +239,9 @@ def test_batch_below_one_is_rejected(run, batch):
     lambda: explosion_estimate(StableParams(0.5, 0.5), parse_sigma_spec("power:c=1,theta=2"),
                                x0=0.0, horizon=10.0, n_paths=0, rng=0),
     lambda: mc.perpetual_integral_law(1.0, lambda x: np.exp(-x), n_paths=0, rng=0),
-], ids=["interval_exit_occupation", "explosion_estimate", "perpetual_integral_law"])
+    lambda: _lemma_without_walks(n_paths=0),
+], ids=["interval_exit_occupation", "explosion_estimate", "perpetual_integral_law",
+        "occupation_potential_lemma"])
 def test_no_paths_is_rejected(run):
     with pytest.raises(OutOfRangeError, match="n_paths"):
         run()
