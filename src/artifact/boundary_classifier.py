@@ -429,7 +429,7 @@ def _tested(row, point: str, v: FinitenessVerdict) -> dict:
 
 def classify(p: StableParams, s: SigmaFunction, method: str = "auto") -> BoundaryReport:
     """Explosion and entrance maps for dZ = sigma(Z-) dX with driver (alpha, rho)."""
-    a = _check_alpha(p.alpha)
+    a = p.alpha
     point, domain = _REACH[p.sidedness]
     if a < 1.0:
         explosion = _tested(_EXPLOSION_ROWS[p.sidedness], point, integral_I(s, a, domain, method))

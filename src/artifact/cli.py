@@ -46,10 +46,10 @@ SCHEMA_VERSION = "1"
 __all__ = ["run", "main"]
 
 
-def _env_seed(default: int = 0) -> int:
+def _env_seed() -> int:
     raw = os.environ.get("ARTIFACT_SEED")
     if raw is None:
-        return default
+        return 0
     try:
         return int(raw)
     except ValueError as exc:
@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", type=str, default=None, help="output file (default stdout)")
 
     sp = sub.add_parser("classify", help="boundary classification report (JSON)")
+    sp.set_defaults(cmd=_cmd_classify)
     common(sp)
     sp.add_argument("--sigma", type=str, required=True, help="sigma spec, e.g. power:c=1,theta=2")
     sp.add_argument(
@@ -83,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("simulate", help="sample driving/solution paths to CSV")
+    sp.set_defaults(cmd=_cmd_simulate)
     common(sp)
     sp.add_argument("--sigma", type=str, default=None,
                     help="if given, emit the time-changed solution of dZ = sigma(Z-)dX")
@@ -92,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1, help="number of paths (default 1)")
 
     sp = sub.add_parser("oracle-eval", help="evaluate one closed form (JSON)")
+    sp.set_defaults(cmd=_cmd_oracle)
     common(sp)
     sp.add_argument("--name", type=str, required=True, choices=list(_ORACLES))
     sp.add_argument("--sigma", type=str, default=None)
@@ -105,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=[k.value for k in ExponentKind])
 
     sp = sub.add_parser("validate", help="run a named validation suite (JSON lines)")
+    sp.set_defaults(cmd=_cmd_validate)
     common(sp, required=False)
     sp.add_argument("--suite", type=str, required=True, choices=list(_SUITES))
     sp.add_argument("--sigma", type=str, default=None)
@@ -256,10 +260,8 @@ def _ks(name: str, bound: float, draw):
     def run(p, s, n, seed):
         t0 = time.perf_counter()
         samples, cdf, extras = draw(p, n, seed)
-        out = mc.ks_compare(samples, cdf, threshold=bound, name=name, seed=seed,
-                            extras=extras)
-        out.runtime_s = time.perf_counter() - t0
-        return [out]
+        return [mc.ks_compare(samples, cdf, threshold=bound, name=name, seed=seed,
+                              extras=extras, t0=t0)]
 
     return run
 
@@ -342,15 +344,7 @@ def run(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        if ns.subcommand == "classify":
-            return _cmd_classify(ns)
-        if ns.subcommand == "simulate":
-            return _cmd_simulate(ns)
-        if ns.subcommand == "oracle-eval":
-            return _cmd_oracle(ns)
-        if ns.subcommand == "validate":
-            return _cmd_validate(ns)
-        raise UsageError(f"unknown subcommand {ns.subcommand}")  # pragma: no cover
+        return ns.cmd(ns)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -145,7 +145,9 @@ def exit_density_avoid_zero(p: StableParams, x: float, y: float) -> OracleResult
               int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt ],
 
     with a = alpha rho, ahat = alpha rhohat and c = max(alpha-1, 0); for
-    alpha <= 1 the origin is polar and the subtracted term vanishes.
+    alpha <= 1 the origin is polar and the subtracted term vanishes.  With
+    t = (1+s)/(1-s) the integral is 2^{alpha-1} w^a/a 2F1(a, alpha; a+1; w),
+    w = (1-x)/(1+x).
     """
     x, y = float(x), float(y)
     if not (0.0 < x < 1.0):
@@ -170,15 +172,10 @@ def exit_density_avoid_zero(p: StableParams, x: float, y: float) -> OracleResult
     calpha = max(p.alpha - 1.0, 0.0)
     if calpha == 0.0:
         return OracleResult(term1, 0.0)
-    # J = int_1^{1/x} (t-1)^{a-1}(t+1)^{ahat-1} dt via u = (t-1)^a
-    def f(u):
-        return (2.0 + u ** (1.0 / a)) ** (ahat - 1.0) / a
-
-    upper = (1.0 / x - 1.0) ** a
-    J, eJ = _quad(f, 0.0, upper)
+    w = (1.0 - x) / (1.0 + x)
+    J = 2.0 ** (p.alpha - 1.0) * w ** a / a * special.hyp2f1(a, p.alpha, a + 1.0, w)
     pref = c0 * (1.0 + y) ** (-ahat) * (y - 1.0) ** (-a) / y * x ** (p.alpha - 1.0)
-    value = term1 - calpha * pref * J
-    return OracleResult(value, calpha * pref * eJ)
+    return OracleResult(float(term1 - calpha * pref * J), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Monte Carlo cross-validation of simulated paths against the closed forms.
 
-Every public operation returns a ValidationOutcome with a scalar statistic,
-a threshold, and a pass flag (pass == statistic <= threshold), plus run
-metadata, and serializes to a JSON line.  Path generation is vectorized over
-paths with state-adaptive stepping: far from the region that decides the
-functional under test the step grows like coef * distance^alpha (the
-displacement per step then stays a fixed small fraction of the distance,
-uniformly over scales), and near the decisive set it is floored at a fine
-step so that crossings and kills are resolved.
+The path kernels return dicts of samples and counts.  Every validation
+returns a ValidationOutcome with a scalar statistic, a threshold, and a pass
+flag (pass == statistic <= threshold), plus run metadata, and serializes to
+a JSON line.  Path generation is vectorized over paths with state-adaptive
+stepping: far from the region that decides the functional under test the
+step grows like coef * distance^alpha (the displacement per step then stays
+a fixed small fraction of the distance, uniformly over scales), and near the
+decisive set it is floored at a fine step so that crossings and kills are
+resolved.
 
 Determinism: an integer ``rng`` seeds one independent substream per batch
 (keyed, not sequential), so results are reproducible for a given seed,
@@ -71,7 +72,8 @@ class ValidationOutcome:
 
     def to_json_line(self, include_runtime: bool = False) -> str:
         """One JSON object per line.  Runtime is excluded by default so that
-        identical (seed, n, name) runs emit byte-identical records."""
+        identical (seed, n, name) runs emit byte-identical records.  A
+        non-finite number raises ValueError: NaN and Infinity are not JSON."""
         payload = {
             "schema_version": "1",
             "name": self.name,
@@ -80,33 +82,29 @@ class ValidationOutcome:
             "passed": bool(self.passed),
             "n_paths": self.n_paths,
             "seed": self.seed,
-            "extras": _jsonable(self.extras),
+            "extras": self.extras,
         }
         if include_runtime:
             payload["runtime_s"] = round(self.runtime_s, 3)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False, default=_numpy_value)
+
+
+def _numpy_value(obj):
+    """The Python value of a numpy array or scalar, for json.dumps."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _judged(name, statistic, threshold, n_paths, rng, t0, extras) -> ValidationOutcome:
-    """The outcome of a validation started at perf_counter() == t0 on rng."""
+    """The outcome of a validation started at perf_counter() == t0 on rng
+    (an integer seed, a Generator or None)."""
     statistic, threshold = float(statistic), float(threshold)
     return ValidationOutcome(
         name=name, statistic=statistic, threshold=threshold,
         passed=statistic <= threshold, n_paths=n_paths, seed=_seed_of(rng),
         runtime_s=time.perf_counter() - t0, extras=extras,
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +130,18 @@ def ks_compare(
     name: str = "ks_compare",
     seed: int | None = None,
     extras: dict | None = None,
-    runtime_s: float = 0.0,
+    t0: float | None = None,
 ) -> ValidationOutcome:
     """KS test of samples against a target CDF callable.
 
     Default threshold 1.628/sqrt(n) is the 99% two-sided Kolmogorov point:
     a correct match fails spuriously about 1% of the time, a wrong law
     (with n in the usual 1e4..1e5 range) essentially always fails.
+    runtime_s runs from perf_counter() == t0 (say, before the samples were
+    drawn), else from this call.
     """
+    if t0 is None:
+        t0 = time.perf_counter()
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n < MIN_KS_SAMPLES:
@@ -149,28 +151,19 @@ def ks_compare(
     if threshold is None:
         threshold = 1.628 / math.sqrt(n)
     d = ks_statistic(samples, cdf)
-    return ValidationOutcome(
-        name=name, statistic=d, threshold=float(threshold), passed=d <= threshold,
-        n_paths=n, seed=seed, runtime_s=runtime_s, extras=extras or {},
-    )
+    return _judged(name, d, threshold, n, seed, t0, extras or {})
 
 
-def cdf_from_density(
-    density,
-    lo: float,
-    hi: float,
-    *,
-    n_panels: int = 400,
-    edge: float = 1e-9,
-    normalize: bool = True,
-):
+def cdf_from_density(density, lo: float, hi: float):
     """Build a CDF callable from a density with (integrable) endpoint
-    singularities: panel-wise adaptive quadrature on a grid clustered
-    geometrically toward both endpoints, then monotone interpolation."""
+    singularities: panel-wise adaptive quadrature on a grid of 400 panels
+    clustered geometrically toward both endpoints, then monotone
+    interpolation of the normalized cumulative mass.  The total mass before
+    normalization is kept as ``cdf.total_mass``."""
     width = hi - lo
-    # half the panels sweep each side, geometrically from `edge` outward
-    k = n_panels // 2
-    off = width / 2.0 * (edge ** (np.arange(k, 0, -1) / k))
+    # 200 panels sweep each side, geometrically from 1e-9 of the half-width out
+    k = 200
+    off = width / 2.0 * (1e-9 ** (np.arange(k, 0, -1) / k))
     nodes = np.concatenate(([lo], lo + off, [0.5 * (lo + hi)], hi - off[::-1], [hi]))
     nodes = np.unique(nodes)
     # QUADPACK nodes in the panels next to lo and hi can round onto them,
@@ -183,7 +176,7 @@ def cdf_from_density(
         masses[i] = max(val, 0.0)
     cum = np.concatenate(([0.0], np.cumsum(masses)))
     total = cum[-1]
-    if normalize and total > 0:
+    if total > 0:
         cum = cum / total
 
     def cdf(y):
@@ -320,7 +313,6 @@ def passage_overshoot_samples(
     rng=0,
     *,
     base_step: float = 1e-4,
-    band: float = 0.1,
     horizon: float = 1e6,
     max_steps: int = 10_000_000,
     batch: int = 25_000,
@@ -328,8 +320,8 @@ def passage_overshoot_samples(
     """First passage strictly below `level` from x0 > level: overshoot depths.
 
     The step is self-similar in the distance d to the barrier,
-    dt = base_step * (d/band)^alpha, so dt <= base_step throughout the band
-    d <= band and the per-step displacement stays a fixed small fraction of
+    dt = base_step * (d/0.1)^alpha, so dt <= base_step throughout the band
+    d <= 0.1 and the per-step displacement stays a fixed small fraction of
     d at every scale.  The rule is floorless on purpose: the overshoot law
     has an integrable singularity at depth 0 (CDF ~ y^{1-alpha*rhohat}), so
     any fixed spatial floor h would smear the O(h) depths, which carry
@@ -340,7 +332,7 @@ def passage_overshoot_samples(
     if x0 <= level:
         raise OutOfRangeError("start must be above the passage level")
     al = p.alpha
-    coef = base_step / band ** al
+    coef = base_step / 0.1 ** al
     ends = _walk(
         p, x0, n_paths, rng, batch,
         lambda x: coef * (x - level) ** al,
@@ -579,21 +571,22 @@ def occupation_vs_potential(
         integrand, window[0], window[1], limit=200, points=[x0] if window[0] < x0 < window[1] else None
     )
     mean, se, rel = _mean_vs_target(res["occupations"], target)
-    z = (mean - target) / se if se > 0 else math.inf
+    # all occupations equal (say, every path killed first): no z-score
+    z = (mean - target) / se if se > 0 else None
     return _judged(name, rel, threshold, n_paths, rng, t0, {
         "mc_mean": mean,
         "mc_se": se,
         "target": float(target),
         "target_quad_error": float(terr),
-        "z_score": float(z),
+        "z_score": z,
         "killed": res["killed"],
         "alive_at_horizon": res["alive"],
     })
 
 
-def _hitting_grid(n_interior: int = 81, n_edge: int = 9) -> np.ndarray:
-    inner = np.linspace(-0.9, 0.9, n_interior)
-    off = 0.1 * 2.0 ** (-np.arange(1, n_edge + 1, dtype=float))
+def _hitting_grid() -> np.ndarray:
+    inner = np.linspace(-0.9, 0.9, 81)
+    off = 0.1 * 2.0 ** (-np.arange(1, 10, dtype=float))
     right = 1.0 - off
     return np.unique(np.concatenate((inner, right, -right)))
 
@@ -623,6 +616,10 @@ def occupation_potential_lemma(
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
+    if n_paths < 2:
+        raise TooFewSamplesError(
+            f"{n_paths} samples < 2; a mean difference with its standard error needs two"
+        )
     t0 = time.perf_counter()
     lo, hi = interval
     k_cap = int(round(a / step))
@@ -689,15 +686,14 @@ def perpetual_integral_law(
     drift: float,
     f,
     n_paths: int = 5_000,
-    horizon: float = 200.0,
-    step: float = 0.02,
     rng=0,
     expect: str = "finite",
     name: str = "perpetual_integral_law",
 ) -> ValidationOutcome:
     """Finiteness of int_0^inf f(xi_s) ds for Brownian motion with positive
     drift, decided by the plateau flag (relative growth of the integral over
-    the last decade of the horizon < 1e-3).
+    the last decade of the horizon 200 < 1e-3), on a trapezoid grid of step
+    0.02.
 
     The law is zero-one: f integrable-at-infinity against the drift gives a
     finite perpetual integral for every path, otherwise for none.  Pass for
@@ -709,6 +705,7 @@ def perpetual_integral_law(
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
     t0 = time.perf_counter()
+    horizon, step = 200.0, 0.02
     n_steps = int(round(horizon / step))
     k_decade = int(round(n_steps / 10))
     gen = _keyed(rng, 0)

@@ -204,7 +204,7 @@ class Composite(SigmaFunction):
         return "composite:(" + "*".join(p.describe() for p in self.parts) + ")"
 
 
-def _parse_kv(body: str, allowed: tuple[str, ...] | None = None) -> dict:
+def _parse_kv(body: str, allowed: tuple[str, ...]) -> dict:
     out = {}
     for tok in body.split(","):
         tok = tok.strip()
@@ -214,7 +214,7 @@ def _parse_kv(body: str, allowed: tuple[str, ...] | None = None) -> dict:
         if not sep:
             raise ValueError(f"expected key=value, got {tok!r}")
         k = k.strip()
-        if allowed is not None and k not in allowed:
+        if k not in allowed:
             raise ValueError(
                 f"unknown sigma parameter {k!r}; expected one of {sorted(allowed)}"
             )

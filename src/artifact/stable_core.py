@@ -214,8 +214,8 @@ def _keyed(rng, *key: int) -> np.random.Generator:
 
 
 def _seed_of(rng) -> int | None:
-    """The seed to report for rng: None for a Generator."""
-    return None if isinstance(rng, np.random.Generator) else int(rng)
+    """The seed to report for rng: None for a Generator or for None."""
+    return None if rng is None or isinstance(rng, np.random.Generator) else int(rng)
 
 
 def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:

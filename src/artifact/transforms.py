@@ -56,10 +56,10 @@ class NonPositivePathError(ValueError):
     """The transform requires a strictly positive path."""
 
 
-def _is_nonpositive_integer(z, tol=1e-12):
+def _is_nonpositive_integer(z):
     z = np.asarray(z, dtype=complex)
-    near_int = np.abs(z.real - np.round(z.real)) <= tol
-    return near_int & (np.abs(z.imag) <= tol) & (np.round(z.real) <= 0)
+    near_int = np.abs(z.real - np.round(z.real)) <= 1e-12
+    return near_int & (np.abs(z.imag) <= 1e-12) & (np.round(z.real) <= 0)
 
 
 # ---------------------------------------------------------------------------

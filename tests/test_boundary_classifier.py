@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from artifact import (
+    Composite,
     Domain,
     LogPower,
     OutOfRangeError,
@@ -211,6 +212,23 @@ def test_tested_row_integrates_over_the_reach_domain(alpha, rho):
     rows = rep.explosion if alpha < 1.0 else rep.entrance
     assert rows[point].integral.domain is domain
     assert all(rows[k].integral is None for k in rows if k != point)
+
+
+# sigma ~ |x| (log|x|)^q: the tested integrand is 1/(x (log x)^(alpha q)), or
+# 1/(x (log x)^(q - 1)) in the log test at alpha = 1, so the row ticks iff
+# alpha q > 1, or q > 2 at alpha = 1.  Each alpha is taken on both sides of
+# its edge in q.
+@pytest.mark.parametrize("alpha, q, ticked", [
+    (0.5, 2.0, False), (0.5, 2.5, True),
+    (1.5, 0.5, False), (1.5, 2.0, True),
+    (1.0, 2.0, False), (1.0, 2.5, True),
+])
+def test_composite_tail_is_the_sum_of_its_parts(alpha, q, ticked):
+    s = Composite((PowerTail(c=1.0, theta=1.0), LogPower(c=1.0, theta=0.0, q=q)))
+    rep = classify(StableParams(alpha, 0.5), s)
+    rows = rep.explosion if alpha < 1.0 else rep.entrance
+    assert rows["pm_inf"].verdict == (TICK if ticked else CROSS)
+    assert rows["pm_inf"].integral.method.value == "analytic_tail"
 
 
 def test_report_json_schema():

@@ -3,11 +3,24 @@ determinism, and environment overrides.  Everything runs in-process through
 cli.run() so exit codes and stdout are asserted directly."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from artifact import Domain, Path, StableParams, integral_I, parse_sigma_spec
+from artifact import (
+    Domain,
+    ExponentKind,
+    LevyExponent,
+    Path,
+    StableParams,
+    esscher_zero_check,
+    halfline_killed_potential,
+    integral_I,
+    killed_potential_density,
+    mean_at_one,
+    parse_sigma_spec,
+)
 from artifact import cli
 from artifact import montecarlo as mc
 
@@ -110,6 +123,39 @@ def test_oracle_eval_schema_and_value(capsys):
     assert doc["name"] == "h_function"
     assert doc["inputs"]["alpha"] == 1.5 and doc["inputs"]["x"] == 2.0
     assert doc["value"] == pytest.approx(1.1283791670955128, rel=1e-12)
+
+
+_SN = (1.5, 1.0 / 1.5)  # a spectrally negative driver
+
+
+def _oracle_payload(res) -> dict:
+    return {"value": res.value, "abs_error_estimate": res.abs_error_estimate}
+
+
+def _complex_payload(val: complex) -> dict:
+    return {"value": {"re": val.real, "im": val.imag}, "abs_error_estimate": 0.0}
+
+
+@pytest.mark.parametrize("name, alpha_rho, flags, want", [
+    ("killed_potential", (1.5, 0.5), ("--x", "0.3", "--y", "0.8"),
+     lambda p: _oracle_payload(killed_potential_density(p, 0.3, 0.8))),
+    ("halfline_potential", _SN, ("--x", "0.5", "--y", "1.2"),
+     lambda p: _oracle_payload(halfline_killed_potential(p, 0.5, 1.2))),
+    ("exponent", (1.5, 0.5), ("--kind", "censored", "--z", "0.7"),
+     lambda p: _complex_payload(LevyExponent(p, ExponentKind.CENSORED).eval(0.7 + 0j))),
+    ("exponent_mean", (1.5, 0.5), ("--kind", "cond_positive"), lambda p: {
+        "value": mean_at_one(LevyExponent(p, ExponentKind.COND_POSITIVE)),
+        "abs_error_estimate": 1e-9}),
+    ("esscher_zero", (1.5, 0.5), (), lambda p: _complex_payload(esscher_zero_check(p))),
+])
+def test_oracle_eval_payload_is_the_library_call(capsys, name, alpha_rho, flags, want):
+    alpha, rho = alpha_rho
+    code, out, _ = _run(capsys, "oracle-eval", "--name", name, "--alpha", repr(alpha),
+                        "--rho", repr(rho), *flags)
+    assert code == 0
+    doc = json.loads(out)
+    expected = want(StableParams(alpha, rho))
+    assert {k: doc[k] for k in expected} == expected
 
 
 def test_oracle_eval_expected_explosion_time(capsys):
@@ -229,7 +275,7 @@ def test_validate_no_paths_is_usage_error(capsys, suite):
     assert "n_paths" in err
 
 
-@pytest.mark.parametrize("suite", ["explosion-time", "occupation"])
+@pytest.mark.parametrize("suite", ["explosion-time", "occupation", "lemma"])
 def test_validate_one_path_is_usage_error(capsys, suite):
     # a mean with a standard error needs two samples; one used to print NaN
     code, out, err = _run(capsys, "validate", "--suite", suite, "--n", "1")
@@ -238,10 +284,35 @@ def test_validate_one_path_is_usage_error(capsys, suite):
     assert "samples" in err
 
 
+def test_validate_occupation_without_spread_has_no_z_score(capsys):
+    # at this seed both paths are killed before the window: mean 0, se 0
+    code, out, _ = _run(capsys, "validate", "--suite", "occupation", "--n", "2",
+                        "--seed", "3")
+    assert code == 1
+
+    def refuse(name):  # json.loads accepts NaN and Infinity, which are not JSON
+        raise ValueError(f"{name} is not JSON")
+
+    extras = json.loads(out, parse_constant=refuse)["extras"]
+    assert extras["mc_se"] == 0.0 and extras["z_score"] is None
+
+
 @pytest.mark.parametrize("suite", ["ks-self", "overshoot", "strip"])
 def test_ks_suites_report_runtime(suite):
     (out,) = cli._run_suite(suite, 0, 300, None, None, None)
     assert out.runtime_s > 0
+
+
+def test_ks_suite_runtime_covers_the_draw(monkeypatch):
+    draw = mc.passage_overshoot_samples
+
+    def slow_draw(*args, **kwargs):
+        time.sleep(0.2)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "passage_overshoot_samples", slow_draw)
+    (out,) = cli._run_suite("overshoot", 0, 300, None, None, None)
+    assert out.runtime_s >= 0.2
 
 
 # ---------------------------------------------------------------------------

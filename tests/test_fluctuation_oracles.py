@@ -291,6 +291,25 @@ def test_exit_density_avoid_zero_mass():
     assert 0.0 < killed < plain(1.5) - 0.05
 
 
+@pytest.mark.parametrize("alpha, rho", [(1.2, 0.5), (1.3, 0.45), (1.5, 0.5), (1.8, 0.55)])
+@pytest.mark.parametrize("x", [0.05, 0.3, 0.7, 0.95])
+def test_exit_density_avoid_zero_integral_form(alpha, rho, x):
+    # the docstring's form, with J = int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt
+    # by tanh-sinh quadrature in place of the hypergeometric closed form
+    p = StableParams(alpha, rho)
+    a, ahat = alpha * rho, alpha * (1.0 - rho)
+    J = float(mpmath.quad(lambda t: (t - 1) ** (a - 1) * (t + 1) ** (ahat - 1),
+                          [1, 1 / mpmath.mpf(x)]))
+    c0 = math.sin(math.pi * a) / math.pi
+    for y in (1.01, 1.5, 4.0):
+        want = c0 * (1.0 + y) ** (-ahat) * (y - 1.0) ** (-a) * (
+            (1.0 + x) ** ahat * (1.0 - x) ** a / (y - x)
+            - (alpha - 1.0) / y * x ** (alpha - 1.0) * J)
+        got = exit_density_avoid_zero(p, x, y)
+        assert got.value == pytest.approx(want, rel=1e-10), y
+        assert got.abs_error_estimate == 0.0
+
+
 # ---------------------------------------------------------------------------
 # spectrally positive interval entry: density + creep atom
 

@@ -4,6 +4,7 @@ pinned seeds, and the outcome record format."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def test_ks_compare_default_threshold_scaling():
     for n in (400, 10_000):
         out = mc.ks_compare(gen.random(n), lambda x: np.clip(x, 0, 1))
         assert out.threshold == pytest.approx(1.628 / math.sqrt(n), rel=1e-12)
+
+
+def test_ks_compare_times_from_t0_and_takes_no_seed():
+    x = np.linspace(0.005, 0.995, 100)
+    out = mc.ks_compare(x, lambda t: t, t0=time.perf_counter() - 1.0)
+    assert out.runtime_s >= 1.0 and out.seed is None
+    assert 0.0 < mc.ks_compare(x, lambda t: t, seed=4).runtime_s < 1.0
 
 
 def test_ks_compare_rejects_tiny_samples():
@@ -247,6 +255,11 @@ def test_no_paths_is_rejected(run):
         run()
 
 
+def test_lemma_one_path_is_rejected_before_any_walk():
+    with pytest.raises(mc.TooFewSamplesError, match="needs two"):
+        _lemma_without_walks(n_paths=1)
+
+
 # how each kernel reports paths that end at the horizon, run out of steps or
 # are killed
 
@@ -359,3 +372,15 @@ def test_outcome_json_line_is_deterministic_and_typed():
     assert json.loads(out.to_json_line(include_runtime=True))["runtime_s"] == 1.235
     # keys sorted for stable byte layout
     assert list(doc.keys()) == sorted(doc.keys())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("statistic", math.inf), ("statistic", math.nan), ("extras", {"z": -math.inf}),
+    ("extras", {"se": np.float64("nan")}),
+])
+def test_outcome_json_line_refuses_non_finite_numbers(field, value):
+    kw = dict(name="demo", statistic=0.5, threshold=1.0, passed=True, n_paths=10,
+              seed=3, runtime_s=0.0)
+    with pytest.raises(ValueError):
+        mc.ValidationOutcome(**{**kw, field: value}).to_json_line()
+

@@ -60,6 +60,25 @@ def test_tabulated_exact_at_nodes_and_guards():
         Tabulated(xs, ys, tail_plus=1.0)
 
 
+def test_tabulated_extrapolates_each_tail_by_its_power():
+    s = Tabulated((-2.0, 0.0, 1.0, 3.0), (4.0, 1.0, 2.0, 8.0), tail_plus=2.0, tail_minus=0.5)
+    assert s(6.0) == pytest.approx(8.0 * 2.0 ** 2)
+    assert s(-8.0) == pytest.approx(4.0 * 4.0 ** 0.5)
+    np.testing.assert_allclose(s(np.array([-8.0, 0.5, 6.0])), [8.0, 1.5, 32.0])
+
+
+def test_parse_table_spec_reads_the_csv(tmp_path):
+    path = tmp_path / "sigma.csv"
+    path.write_text("x,sigma\n# a comment\n-1,2\n0,1\n\n2,5\n")
+    s = parse_sigma_spec(f"table:{path},theta_plus=2,theta_minus=1")
+    assert isinstance(s, Tabulated)
+    assert s.xs == (-1.0, 0.0, 2.0) and s.ys == (2.0, 1.0, 5.0)
+    assert s(4.0) == pytest.approx(20.0) and s(-3.0) == pytest.approx(6.0)
+    assert s.describe() == "table:[-1,2]x3,theta_plus=2,theta_minus=1"
+    with pytest.raises(ValueError, match="theta_plus and theta_minus"):
+        parse_sigma_spec(f"table:{path},theta_plus=2")
+
+
 def test_composite_product():
     a = PowerTail(c=2.0, theta=0.0)
     b = PowerTail(c=1.0, theta=2.0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from artifact import (
     InconsistentRhoError,
@@ -17,6 +17,7 @@ from artifact import (
     Sidedness,
     StableParams,
     char_exponent,
+    levy_density,
     sample_increment,
     sample_path,
     sample_path_at,
@@ -91,6 +92,31 @@ def test_unit_increment_matches_scipy_law(alpha, rho):
     ref = _scipy_equivalent(p).rvs(size=n, random_state=np.random.default_rng(1234))
     d, pval = stats.ks_2samp(ours, ref)
     assert pval > 1e-4, (alpha, rho, d, pval)
+
+
+def test_cauchy_branch_matches_scipy_cauchy():
+    n = 20_000
+    x = sample_increment(StableParams(1.0, 0.5), 1.0, rng=5, size=n)
+    d, _ = stats.kstest(x, stats.cauchy.cdf)
+    assert d <= 1.628 / math.sqrt(n), d
+
+
+@pytest.mark.parametrize("alpha, rho, far", [(1.5, 0.5, 50.0), (0.7, 0.3, 1000.0)])
+def test_levy_density_tail_mass_and_sampler_tail(alpha, rho, far):
+    # Pi(x, inf) = Gamma(alpha) sin(pi alpha rho)/pi x^-alpha, and P(X_1 > x)
+    # ~ Pi(x, inf) as x -> inf, with a relative correction of order x^-alpha:
+    # at `far` it is under a quarter of the standard error of the count
+    p = StableParams(alpha, rho)
+    tail = lambda x, r: math.gamma(alpha) * math.sin(math.pi * alpha * r) / math.pi * x ** -alpha
+    for x in (0.5, 2.0, 40.0):
+        up, _ = integrate.quad(lambda y: levy_density(p, y), x, np.inf)
+        down, _ = integrate.quad(lambda y: levy_density(p, -y), x, np.inf)
+        assert up == pytest.approx(tail(x, rho), rel=1e-6)
+        assert down == pytest.approx(tail(x, 1.0 - rho), rel=1e-6)
+    n = 1_000_000
+    hits = np.sum(sample_increment(p, 1.0, rng=6, size=n) > far)
+    want = tail(far, rho)
+    assert abs(hits / n - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n), (hits, want * n)
 
 
 def test_subordinator_branch_is_positive_and_kanter_laplace():
