@@ -87,6 +87,7 @@ from .stable_core import (
     char_exponent,
     levy_density,
     sample_increment,
+    sample_interval_exit,
     sample_path,
     sample_path_at,
     stream,

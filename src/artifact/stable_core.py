@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from scipy import special
 from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "levy_density",
     "stream",
     "sample_increment",
+    "sample_interval_exit",
     "sample_path",
     "sample_path_at",
     "Path",
@@ -252,6 +254,56 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
         raise ValueError("size applies only to scalar dt")
     draws = _standard_draws(p, gen, dt_arr.size).reshape(dt_arr.shape)
     return dt_arr ** (1.0 / p.alpha) * draws
+
+
+def _upward_exit_probability(p: StableParams) -> float:
+    """P_0(X leaves (-1, 1) upwards) for a two-sided driver, a = alpha rho:
+    sin(pi a)/pi 2^{1-alpha} B(1-a, alpha) 2F1(1, 1-a; 1+alpha-a; -1), the
+    mass of Rogozin's exit density above 1."""
+    al, a = p.alpha, p.alpha * p.rho
+    return float(math.sin(math.pi * a) / math.pi * 2.0 ** (1.0 - al)
+                 * special.beta(1.0 - a, al) * special.hyp2f1(1.0, 1.0 - a, 1.0 + al - a, -1.0))
+
+
+def _upward_exits(gen: np.random.Generator, al: float, a: float, n: int) -> np.ndarray:
+    """n exit positions y > 1 from (-1, 1) started at 0, given an upward exit,
+    when alpha rho = a.  In s = 2/(y+1) Rogozin's density is proportional to
+    s^{alpha-1} (1-s)^{-a} / (2-s): Beta(alpha, 1-a) draws accepted with
+    probability 1/(2-s) >= 1/2."""
+    s = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        cand = gen.beta(al, 1.0 - a, size=todo.size)
+        ok = gen.random(todo.size) * (2.0 - cand) <= 1.0
+        s[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    return 2.0 / s - 1.0
+
+
+def sample_interval_exit(p: StableParams, rng, size: int) -> np.ndarray:
+    """``size`` exact draws of X at its first exit from (-1, 1), started at 0.
+
+    By self-similarity x + r Y is the first exit from (x - r, x + r) started
+    at x.  Symmetric drivers (Blumenthal–Getoor–Ray): |Y| = T^{-1/2} with
+    T ~ Beta(alpha/2, 1 - alpha/2) and a fair sign; T underflows to 0, and
+    |Y| to inf, with probability about 1e-8 per draw at alpha = 0.05 and
+    below 1e-15 from alpha = 0.1 on.  Other two-sided drivers (Rogozin): up
+    with probability ``_upward_exit_probability(p)``, then each side by
+    rejection from a beta law (see ``_upward_exits``).  One-sided drivers
+    raise OutOfRangeError: they creep across one end, or never reach it.
+    """
+    if p.sidedness is not Sidedness.TWO_SIDED:
+        raise OutOfRangeError(f"interval exit sampling needs a two-sided driver, got {p}")
+    gen = _keyed(rng)
+    al = p.alpha
+    if abs(p.rho - 0.5) <= _EPS:
+        radius = gen.beta(al / 2.0, 1.0 - al / 2.0, size=size) ** -0.5
+        return np.where(gen.random(size) < 0.5, radius, -radius)
+    up = gen.random(size) < _upward_exit_probability(p)
+    out = np.empty(size)
+    out[up] = _upward_exits(gen, al, al * p.rho, int(np.sum(up)))
+    out[~up] = -_upward_exits(gen, al, al * p.rho_hat, int(np.sum(~up)))
+    return out
 
 
 @dataclass

@@ -286,8 +286,9 @@ def test_validate_one_path_is_usage_error(capsys, suite):
 
 def test_validate_occupation_without_spread_has_no_z_score(capsys):
     # at this seed both paths are killed before the window: mean 0, se 0
+    # (4 is the smallest such seed)
     code, out, _ = _run(capsys, "validate", "--suite", "occupation", "--n", "2",
-                        "--seed", "3")
+                        "--seed", "4")
     assert code == 1
 
     def refuse(name):  # json.loads accepts NaN and Infinity, which are not JSON

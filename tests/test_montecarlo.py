@@ -278,12 +278,40 @@ def test_strip_out_of_steps_counts_as_missed():
     assert out["positions"].size == 0 and out["clocks"].size == 0
 
 
-def test_occupation_tiny_horizon_keeps_every_path():
+def test_occupation_out_of_steps_keeps_every_path():
     s = parse_sigma_spec("power:c=1,theta=2")
     out = mc.origin_kill_occupation(StableParams(1.5, 0.5), 0.5, s, (1.0, 2.0),
-                                    n_paths=200, rng=0, horizon=1e-6)
-    assert out["alive"] == 200 and out["killed"] == 0
-    assert out["occupations"].size == 200
+                                    n_paths=200, rng=0, max_steps=1)
+    # one jump from 0.5 over (5e-5, 1 - 5e-5) kills some paths; the rest are
+    # censored with the occupation they have, none, since jumps add nothing
+    assert out["alive"] > 0 and out["killed"] > 0
+    assert out["alive"] + out["killed"] == 200
+    assert out["occupations"].size == 200 and np.all(out["occupations"] == 0.0)
+
+
+@pytest.mark.parametrize("rho, jumps", [(1.0 / 1.5, False), (0.6, True)],
+                         ids=["spectrally_negative", "two_sided"])
+def test_occupation_jumps_only_for_two_sided_drivers(monkeypatch, rho, jumps):
+    calls = []
+    exact = mc.sample_interval_exit
+
+    def counted(p, rng, size):
+        calls.append(size)
+        return exact(p, rng, size)
+
+    monkeypatch.setattr(mc, "sample_interval_exit", counted)
+    s = parse_sigma_spec("power:c=1,theta=2")
+    out = mc.origin_kill_occupation(StableParams(1.5, rho), 0.5, s, (1.0, 2.0),
+                                    n_paths=100, rng=0, max_steps=2000)
+    assert bool(calls) is jumps
+    assert out["alive"] + out["killed"] == 100
+
+
+def test_walk_reach_refuses_a_clock():
+    with pytest.raises(OutOfRangeError, match="infinite horizon"):
+        mc._walk(StableParams(1.5, 0.5), 0.5, 10, 0, 10, lambda x: 1e-3,
+                 lambda x: np.abs(x) > 1.0, reach=lambda x: 1.0 - np.abs(x),
+                 horizon=1.0, max_steps=10)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -312,6 +340,13 @@ def test_occupation_vs_potential_small_n():
                                      n_paths=10_000, rng=0)
     assert out.passed, out.to_json_line()
     assert out.statistic < 0.04
+
+
+def test_occupation_vs_potential_asymmetric_jumps():
+    # rho = 0.6 exits intervals by Rogozin's law, not the symmetric one
+    out = mc.occupation_vs_potential(StableParams(1.5, 0.6), parse_sigma_spec("power:c=1,theta=2"),
+                                     x0=0.5, window=(1.0, 2.0), n_paths=10_000, rng=0)
+    assert out.passed, out.to_json_line()
 
 
 def test_occupation_potential_lemma_small_n():

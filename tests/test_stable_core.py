@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from artifact import (
     InconsistentRhoError,
@@ -19,10 +19,12 @@ from artifact import (
     char_exponent,
     levy_density,
     sample_increment,
+    sample_interval_exit,
     sample_path,
     sample_path_at,
     stream,
 )
+from artifact.stable_core import _upward_exit_probability
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,86 @@ def test_char_exponent_closed_form_and_symmetry():
     # Hermitian symmetry: conj at -z
     assert char_exponent(p, -z) == pytest.approx(np.conj(char_exponent(p, z)), rel=1e-13)
     assert char_exponent(p, 0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# first exit from (-1, 1) started at 0
+
+
+def _ks_on_float_grid(x, cdf) -> float:
+    """KS distance that lets each draw sit one ulp from the real it rounds:
+    the mass at or below a sample value v may reach cdf(next float), and the
+    mass below v may fall to cdf(previous float).  Some laws here put a few
+    per cent of their mass within an ulp of 1 (Beta(alpha/2, 1 - alpha/2)
+    at alpha near 2, Rogozin's overshoot at alpha rho near 1); the plain
+    statistic would read that atom as a gap."""
+    x = np.sort(x)
+    v = np.unique(x)
+    at = np.searchsorted(x, v, "right") / x.size
+    below = np.searchsorted(x, v, "left") / x.size
+    return float(max(np.max(at - cdf(np.nextafter(v, np.inf))),
+                     np.max(cdf(np.nextafter(v, -np.inf)) - below)))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 1.5, 1.999])
+def test_symmetric_interval_exit_is_blumenthal_getoor_ray(alpha):
+    n = 20_000
+    y = sample_interval_exit(StableParams(alpha, 0.5), 41, n)
+    assert np.all(np.isfinite(y)) and np.all(np.abs(y) >= 1.0)
+    d = _ks_on_float_grid(1.0 / y ** 2, stats.beta(alpha / 2.0, 1.0 - alpha / 2.0).cdf)
+    assert d <= 1.628 / math.sqrt(n), d
+    assert abs(np.sum(y > 0) - n / 2.0) <= 4.0 * math.sqrt(n) / 2.0
+
+
+def _rogozin_side_mass(alpha, a):
+    """Mass of Rogozin's exit density sin(pi a)/pi (y-1)^-a (y+1)^(a-alpha)/y
+    above 1 when alpha rho = a, by quadrature in u = 1/y, where it reads
+    sin(pi a)/pi u^(alpha-1) (1-u)^-a (1+u)^(a-alpha)."""
+    val, _ = integrate.quad(lambda u: (1.0 + u) ** (a - alpha), 0.0, 1.0,
+                            weight="alg", wvar=(alpha - 1.0, -a), epsabs=0.0, epsrel=1e-13)
+    return math.sin(math.pi * a) / math.pi * val
+
+
+def _rogozin_side_cdf(alpha, a):
+    """CDF of the exit position y > 1 given an upward exit, when alpha rho = a.
+    In t = (y-1)/(y+1) the density is proportional to t^-a (1-t)^(alpha-1)
+    / (1+t); expanding 1/(1+t) = sum_k (1-t)^k / 2^(k+1) turns the CDF into a
+    sum of incomplete beta functions, exact near y = 1, where a close to 1
+    puts a fifth of the mass within 1e-9 of 1."""
+    k = np.arange(60.0)[:, None]
+    w = 0.5 ** (k + 1.0) * special.beta(1.0 - a, alpha + k)
+    t = lambda y: np.clip((y - 1.0) / (y + 1.0), 0.0, 1.0)
+    return lambda y: np.sum(w * special.betainc(1.0 - a, alpha + k, t(y)), axis=0) / np.sum(w)
+
+
+@pytest.mark.parametrize("alpha, rho", [(1.5, 0.6), (1.2, 0.7), (0.7, 0.3)])
+def test_asymmetric_interval_exit_is_rogozin(alpha, rho):
+    p = StableParams(alpha, rho)
+    a_up, a_down = alpha * rho, alpha * (1.0 - rho)
+    up, down = _rogozin_side_mass(alpha, a_up), _rogozin_side_mass(alpha, a_down)
+    p_up = _upward_exit_probability(p)
+    assert p_up == pytest.approx(up, abs=1e-8)
+    assert up + down == pytest.approx(1.0, abs=1e-8)
+    n = 20_000
+    y = sample_interval_exit(p, 43, n)
+    assert np.all(np.isfinite(y)) and np.all(np.abs(y) >= 1.0)
+    assert abs(np.sum(y > 0) - n * p_up) <= 4.0 * math.sqrt(n * p_up * (1.0 - p_up))
+    for side, a in ((y[y > 0], a_up), (-y[y < 0], a_down)):
+        assert _ks_on_float_grid(side, _rogozin_side_cdf(alpha, a)) <= 1.628 / math.sqrt(side.size)
+
+
+@pytest.mark.parametrize("alpha, rho", [(1.5, 1.0 / 1.5), (1.5, 1.0 - 1.0 / 1.5),
+                                        (0.5, 1.0), (0.5, 0.0)])
+def test_interval_exit_refuses_one_sided_drivers(alpha, rho):
+    with pytest.raises(OutOfRangeError, match="two-sided"):
+        sample_interval_exit(StableParams(alpha, rho), 0, 10)
+
+
+def test_interval_exit_deterministic_in_seed():
+    p = StableParams(1.3, 0.6)
+    np.testing.assert_array_equal(sample_interval_exit(p, 8, 500),
+                                  sample_interval_exit(p, 8, 500))
+    assert not np.array_equal(sample_interval_exit(p, 8, 500), sample_interval_exit(p, 9, 500))
 
 
 # ---------------------------------------------------------------------------
