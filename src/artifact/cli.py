@@ -132,16 +132,16 @@ def _params(ns) -> StableParams:
 
 
 def _cmd_classify(ns) -> int:
-    if not (0.0 < ns.alpha < 2.0):
-        raise UsageError(
-            f"--alpha {ns.alpha} out of scope: the classifier covers 0 < alpha < 2 "
-            "(alpha = 2 is the diffusive case, handled by classical Feller tests)"
-        )
     p = _params(ns)
     s = parse_sigma_spec(ns.sigma)
     report = classify(p, s, method=ns.method)
     _emit(report.to_json(), ns.output)
     return 0
+
+
+# simulate --sigma redraws the driver at 4x the horizon until the solution's
+# clock covers --horizon; this caps the driver's size (8 MB an array)
+_MAX_DRIVER_STEPS = 2 ** 20
 
 
 def _cmd_simulate(ns) -> int:
@@ -158,21 +158,21 @@ def _cmd_simulate(ns) -> int:
             from .sde_timechange import ExhaustedPathError, time_change_solve
 
             driver_horizon = ns.horizon
-            for _ in range(12):
+            while True:
                 try:
-                    path_z = time_change_solve(path, sigma, ns.horizon)
+                    path = time_change_solve(path, sigma, ns.horizon)
                     break
                 except ExhaustedPathError:
                     driver_horizon *= 4.0
+                    if round(driver_horizon / step) > _MAX_DRIVER_STEPS:
+                        raise UsageError(
+                            f"the driver would need more than {_MAX_DRIVER_STEPS} steps "
+                            "to cover the requested solution horizon; increase --step, "
+                            "shorten --horizon or check the coefficient"
+                        ) from None
                     path = sample_path(
                         p, x0=ns.x0, horizon=driver_horizon, step=step, rng=seed + i
                     )
-            else:
-                raise UsageError(
-                    "driver horizon grew 4^12-fold without covering the requested "
-                    "solution horizon; increase --horizon or check the coefficient"
-                )
-            path = path_z
         if ns.n == 1:
             target = ns.output
         else:

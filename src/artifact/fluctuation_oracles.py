@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .boundary_classifier import _REACH, integral_I
+from .boundary_classifier import _REACH, UndecidedIntegralError, integral_I
 from .sigma_model import SigmaFunction
 from .stable_core import DomainError, OutOfRangeError, Sidedness, StableParams
 
@@ -387,7 +387,7 @@ def expected_explosion_time(p: StableParams, s: SigmaFunction, x0: float) -> Ora
     a = p.alpha
     verdict = integral_I(s, a, _REACH[p.sidedness][1])
     if not verdict.decided:
-        raise RuntimeError(
+        raise UndecidedIntegralError(
             "cannot certify finiteness of the explosion integral for this sigma"
         )
     if not verdict.finite:

@@ -19,6 +19,13 @@ carry no clock, so every other kernel (the overshoot and strip laws, whose
 checks must not lean on the exit law, the interval-exit samplers, the
 lemma's uniform skeleton and everything timed) only takes time steps.
 
+A kernel exposes only what its callers set: the step-refinement knobs
+(base_step, step_coef, kill_eps, near_cap), horizon and max_steps, and the
+batch size of ``passage_overshoot_samples`` and ``interval_exit_occupation``;
+the rest are constants.  The validations fix their thresholds and names,
+and the occupation-potential lemma runs its main skeleton through
+``interval_exit_occupation``.
+
 Determinism: an integer ``rng`` seeds one independent substream per batch
 (keyed, not sequential), so results are reproducible for a given seed,
 batch size, and n_paths.
@@ -208,19 +215,14 @@ def cdf_from_density(density, lo: float, hi: float):
 # ---------------------------------------------------------------------------
 # path engine
 
-# how a lane ended: its stop mask fired, its clock reached the horizon, or it
-# was still running after max_steps iterations
-_STOPPED, _HORIZON, _MAX_STEPS = 0, 1, 2
-
 
 class _Ends(NamedTuple):
     """The lanes of a walk in the order they ended, batch by batch."""
 
-    lane: np.ndarray  # index in 0..n_paths-1
     x: np.ndarray  # final position
     steps: np.ndarray  # steps taken (int64)
     acc: np.ndarray | None  # accumulated sum, when an accumulator was given
-    code: np.ndarray  # _STOPPED, _HORIZON or _MAX_STEPS
+    stopped: np.ndarray  # its stop mask fired (not the horizon or max_steps)
 
 
 def _trapezoid(g):
@@ -261,16 +263,14 @@ def _walk(
     reach=None,
     horizon: float = math.inf,
     max_steps: int,
-    on_batch=None,
 ) -> _Ends:
     """Step n_paths lanes from x0, batch by batch on keyed streams.
 
     Each iteration takes dt = step(x) (a scalar or one length per lane,
     capped by the time left under a finite horizon), draws one increment per
     lane, adds accumulate(x, x_new, dt) to the lane sums and ends the lanes
-    with stop(x_new), or whose clock reached the horizon.  Lanes still running
-    after max_steps iterations end with _MAX_STEPS.  on_batch() is called
-    after each batch.
+    with stop(x_new), which are marked stopped, or whose clock reached the
+    horizon.  Lanes still running after max_steps iterations end unstopped.
 
     With reach(x), the half-width r of an interval around each lane inside
     which nothing stops the lane or accumulates, a lane with r >= dt^{1/alpha}
@@ -287,21 +287,19 @@ def _walk(
     if reach is not None and timed:
         raise OutOfRangeError("jumps carry no clock: reach needs an infinite horizon")
     out = _Ends(
-        lane=np.empty(n_paths, dtype=np.int64),
         x=np.empty(n_paths),
         steps=np.empty(n_paths, dtype=np.int64),
         acc=np.empty(n_paths) if accumulate is not None else None,
-        code=np.empty(n_paths, dtype=np.int8),
+        stopped=np.empty(n_paths, dtype=bool),
     )
     done = 0  # lanes ended so far; the next ones are written from here
 
-    def record(lane, x, acc, steps, code):
+    def record(x, acc, steps, stopped):
         nonlocal done
-        end = done + lane.size
-        out.lane[done:end] = lane
+        end = done + x.size
         out.x[done:end] = x
         out.steps[done:end] = steps
-        out.code[done:end] = code
+        out.stopped[done:end] = stopped
         if acc is not None:
             out.acc[done:end] = acc
         done = end
@@ -310,7 +308,6 @@ def _walk(
         gen = _keyed(rng, bi)
         m = min(batch, n_paths - first)
         x = np.full(m, float(x0))
-        lane = np.arange(first, first + m)
         t = np.zeros(m) if timed else None
         acc = np.zeros(m) if accumulate is not None else None
         for it in range(max_steps):
@@ -333,18 +330,15 @@ def _walk(
             stopped = stop(x)
             ended = stopped | (t >= horizon) if timed else stopped
             if np.any(ended):
-                code = np.where(stopped[ended], _STOPPED, _HORIZON) if timed else _STOPPED
-                record(lane[ended], x[ended], None if acc is None else acc[ended], it + 1, code)
+                record(x[ended], None if acc is None else acc[ended], it + 1, stopped[ended])
                 keep = ~ended
-                x, lane = x[keep], lane[keep]
+                x = x[keep]
                 if timed:
                     t = t[keep]
                 if acc is not None:
                     acc = acc[keep]
         if x.size:
-            record(lane, x, acc, max_steps, _MAX_STEPS)
-        if on_batch is not None:
-            on_batch()
+            record(x, acc, max_steps, False)
     return out
 
 
@@ -386,7 +380,7 @@ def passage_overshoot_samples(
         lambda x: x <= level,
         horizon=horizon, max_steps=max_steps,
     )
-    crossed = ends.code == _STOPPED
+    crossed = ends.stopped
     return {"depths": level - ends.x[crossed], "censored": int(np.sum(~crossed)),
             "n_paths": n_paths}
 
@@ -403,7 +397,6 @@ def strip_entry_samples(
     step_coef: float = 3e-3,
     horizon: float = 1e5,
     max_steps: int = 5_000_000,
-    batch: int = 25_000,
 ) -> dict:
     """First entry of the open strip (-a, a) from |x0| > a.
 
@@ -423,12 +416,12 @@ def strip_entry_samples(
     else:
         clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
     ends = _walk(
-        p, x0, n_paths, rng, batch,
+        p, x0, n_paths, rng, 25_000,
         lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
         lambda x: np.abs(x) < a,
         accumulate=clock, horizon=horizon, max_steps=max_steps,
     )
-    entered = ends.code == _STOPPED
+    entered = ends.stopped
     positions = ends.x[entered]
     return {
         "positions": positions,
@@ -451,7 +444,6 @@ def origin_kill_occupation(
     step_coef: float = 3e-3,
     near_cap: float = 0.05,
     max_steps: int = 5_000_000,
-    batch: int = 20_000,
 ) -> dict:
     """Occupation integral int_0^{T_0} sigma(X_t)^-alpha 1{w0 <= X_t <= w1} dt
     up to the first visit of the kill ball |X| <= kill_eps (proxy for the
@@ -491,16 +483,16 @@ def origin_kill_occupation(
         return np.minimum(np.abs(x) - kill_eps, np.maximum(np.maximum(w0 - x, x - w1), 0.0))
 
     ends = _walk(
-        p, x0, n_paths, rng, batch, step, lambda x: np.abs(x) <= kill_eps,
+        p, x0, n_paths, rng, 20_000, step, lambda x: np.abs(x) <= kill_eps,
         accumulate=_trapezoid(weight),
         reach=reach if p.sidedness is Sidedness.TWO_SIDED else None,
         max_steps=max_steps,
     )
-    killed = int(np.sum(ends.code == _STOPPED))
+    killed = int(np.sum(ends.stopped))
     return {
         "occupations": ends.acc,
         "killed": killed,
-        "alive": ends.code.size - killed,
+        "alive": n_paths - killed,
         "n_paths": n_paths,
     }
 
@@ -536,7 +528,7 @@ def interval_exit_occupation(
             lambda x: np.asarray(weight(x), dtype=float)),
         max_steps=max_steps,
     )
-    if np.any(ends.code == _MAX_STEPS):
+    if not np.all(ends.stopped):
         raise RuntimeError("interval exit did not complete within max_steps")
     return {
         "steps": ends.steps,
@@ -556,10 +548,7 @@ def exit_interval_samples(
     rng=0,
     *,
     kill_eps: float | None = None,
-    base_step: float = 1e-4,
-    step_coef: float = 3e-3,
     max_steps: int = 2_000_000,
-    batch: int = 25_000,
 ) -> dict:
     """Adaptive-step first exit from (lo, hi); optionally kill at |x| <= eps
     first (exit positions conditioned on avoiding the origin)."""
@@ -571,14 +560,14 @@ def exit_interval_samples(
         d = np.minimum(x - lo, hi - x)
         if kill_eps is not None:
             d = np.minimum(d, np.abs(x))
-        return base_step + step_coef * np.maximum(d, 0.0) ** al
+        return 1e-4 + 3e-3 * np.maximum(d, 0.0) ** al
 
     def outside(x):
         return (x <= lo) | (x >= hi)
 
     stop = outside if kill_eps is None else (lambda x: outside(x) | (np.abs(x) <= kill_eps))
-    ends = _walk(p, x0, n_paths, rng, batch, step, stop, max_steps=max_steps)
-    if np.any(ends.code == _MAX_STEPS):
+    ends = _walk(p, x0, n_paths, rng, 25_000, step, stop, max_steps=max_steps)
+    if not np.all(ends.stopped):
         raise RuntimeError("interval exit did not complete within max_steps")
     exited = outside(ends.x)
     return {
@@ -610,16 +599,14 @@ def occupation_vs_potential(
     window: tuple[float, float],
     n_paths: int = 100_000,
     rng=0,
-    threshold: float = 0.05,
-    name: str = "occupation_vs_potential",
     **kernel_kwargs,
 ) -> ValidationOutcome:
     """Mean sigma^-alpha-weighted window occupation of X before hitting 0
     against the quadrature of the origin-killed potential density over the
-    window: relative error as the statistic, z-score in extras.  The extras
-    key ``alive_at_horizon`` counts the paths still running after the
-    kernel's max_steps iterations; it keeps its name so the JSON schema
-    stays the same."""
+    window: relative error as the statistic (pass at most 5 %), z-score in
+    extras.  The extras key ``alive_at_horizon`` counts the paths still
+    running after the kernel's max_steps iterations; it keeps its name so
+    the JSON schema stays the same."""
     t0 = time.perf_counter()
     res = origin_kill_occupation(p, x0, s, window, n_paths, rng, **kernel_kwargs)
     al = p.alpha
@@ -633,7 +620,7 @@ def occupation_vs_potential(
     mean, se, rel = _mean_vs_target(res["occupations"], target)
     # all occupations equal (say, every path killed first): no z-score
     z = (mean - target) / se if se > 0 else None
-    return _judged(name, rel, threshold, n_paths, rng, t0, {
+    return _judged("occupation_vs_potential", rel, 0.05, n_paths, rng, t0, {
         "mc_mean": mean,
         "mc_se": se,
         "target": float(target),
@@ -653,26 +640,22 @@ def _hitting_grid() -> np.ndarray:
 
 def occupation_potential_lemma(
     p: StableParams,
-    x0: float = 0.0,
-    interval: tuple[float, float] = (-1.0, 1.0),
-    a: float = 0.5,
-    step: float = 2e-3,
     n_paths: int = 100_000,
     grid_paths: int = 3_000,
     rng=0,
-    threshold: float = 3.0,
-    name: str = "occupation_potential_lemma",
-    batch: int = 25_000,
 ) -> ValidationOutcome:
-    """Discrete-skeleton identity E[zeta ^ a] = U[h_a](x0).
+    """Discrete-skeleton identity E[zeta ^ a] = U[h_a](x0) for the skeleton
+    of step 2e-3 started at x0 = 0 and killed on leaving (-1, 1), with cap
+    a = 0.5 (250 steps).
 
     h_a(y) = P_y(discrete exit of the interval within a/step steps) is
     estimated on a grid (denser near the endpoints, grid_paths paths per
     node, same step); U is the left-endpoint occupation sum of the main
-    skeleton run.  The identity is exact for the skeleton (a telescoping
-    over the time to go), so the statistic is the z-score of the difference,
-    with the h-grid sampling error propagated through the accumulated
-    interpolation weights.  Pass: |z| <= threshold.
+    skeleton run (``interval_exit_occupation`` with weight h_a).  The
+    identity is exact for the skeleton (a telescoping over the time to go),
+    so the statistic is the z-score of the difference, with the h-grid
+    sampling error propagated through the accumulated interpolation
+    weights.  Pass: |z| <= 3.
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
@@ -681,58 +664,38 @@ def occupation_potential_lemma(
             f"{n_paths} samples < 2; a mean difference with its standard error needs two"
         )
     t0 = time.perf_counter()
-    lo, hi = interval
+    lo, hi, a, step = -1.0, 1.0, 0.5, 2e-3
     k_cap = int(round(a / step))
-    if abs(k_cap * step - a) > 1e-12:
-        raise OutOfRangeError("a must be an integer multiple of step")
     nodes = _hitting_grid()
-    nodes = nodes[(nodes > lo) & (nodes < hi)]
-    uniform = lambda x: float(step)
-    outside = lambda x: (x <= lo) | (x >= hi)
     # --- stage 1: h_a on the grid; a lane that has not exited within k_cap
     # steps counts as a miss however it goes on, so no lane walks past k_cap
     h_hat = np.empty(nodes.size)
     for j, y in enumerate(nodes):
         ends = _walk(p, float(y), grid_paths, _keyed(rng, 1000 + j), grid_paths,
-                     uniform, outside, max_steps=k_cap)
-        h_hat[j] = np.mean(ends.code == _STOPPED)
+                     lambda x: step, lambda x: (x <= lo) | (x >= hi), max_steps=k_cap)
+        h_hat[j] = np.mean(ends.stopped)
     h_var = h_hat * (1.0 - h_hat) / grid_paths
 
     # --- stage 2: main run accumulating both sides on the same paths
-    idx_w = np.zeros(nodes.size)  # mean accumulated interp weight per node
-    w_batch = np.zeros(nodes.size)
+    node_w = np.zeros(nodes.size)  # accumulated interp weight per node
 
     def h_interp(x):
-        # h_a at x by linear interpolation; the node weights go into w_batch
+        # h_a at x by linear interpolation; the node weights go into node_w
         j = np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
         lam = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
         lam = np.clip(lam, 0.0, 1.0)
-        np.add.at(w_batch, j, step * (1.0 - lam))
-        np.add.at(w_batch, j + 1, step * lam)
+        np.add.at(node_w, j, step * (1.0 - lam))
+        np.add.at(node_w, j + 1, step * lam)
         return (1.0 - lam) * h_hat[j] + lam * h_hat[j + 1]
 
-    def flush():
-        # batch means summed in batch order: fixed-seed statistics depend on it
-        idx_w[:] += w_batch / n_paths
-        w_batch[:] = 0.0
-
-    ends = _walk(
-        p, x0, n_paths, rng, batch, uniform, outside,
-        accumulate=_left_endpoint(h_interp), max_steps=2_000_000, on_batch=flush,
-    )
-    if np.any(ends.code == _MAX_STEPS):
-        raise RuntimeError("interval exit did not complete within max_steps")
-    lhs = np.empty(n_paths)
-    rhs = np.empty(n_paths)
-    lhs[ends.lane] = step * np.minimum(ends.steps, k_cap)
-    rhs[ends.lane] = ends.acc
-    d = lhs - rhs
+    res = interval_exit_occupation(p, 0.0, lo, hi, step, n_paths, rng, weight=h_interp)
+    d = step * np.minimum(res["steps"], k_cap) - res["weighted_sums"]
     mean_d = float(np.mean(d))
     var_mc = float(np.var(d, ddof=1)) / d.size
-    var_grid = float(np.sum(idx_w ** 2 * h_var))
+    var_grid = float(np.sum((node_w / n_paths) ** 2 * h_var))
     se = math.sqrt(var_mc + var_grid)
     z = abs(mean_d) / se if se > 0 else math.inf
-    return _judged(name, z, threshold, n_paths, rng, t0, {
+    return _judged("occupation_potential_lemma", z, 3.0, n_paths, rng, t0, {
         "mean_difference": mean_d,
         "se_mc": math.sqrt(var_mc),
         "se_grid": math.sqrt(var_grid),
@@ -801,20 +764,16 @@ def entrance_proxy(
     n_paths: int = 4_000,
     rng=0,
     expect: str = "stabilize",
-    threshold: float = 0.10,
-    growth_min: float = 2.0,
-    name: str = "entrance_proxy",
     **kernel_kwargs,
 ) -> ValidationOutcome:
     """Median entry time of the coefficient process Z into (-level, level)
     from a ladder of starts.
 
     expect="stabilize": medians from all admissible starts agree with the
-    farthest start to within `threshold` relative (entrance from infinity).
+    farthest start to within 10 % relative (entrance from infinity).
     expect="diverge": each decade of start distance multiplies the median by
-    at least growth_min (no entrance; statistic is growth_min/min_growth so
-    pass == statistic <= 1... reported as statistic <= threshold with
-    threshold 1.0).
+    at least 2 (no entrance); the statistic is 2 / (least growth), with
+    threshold 1.0.
 
     Starts with |x0| <= level are degenerate for this diagnostic (the entry
     time is 0 regardless of any boundary behavior) and are skipped.
@@ -840,14 +799,14 @@ def entrance_proxy(
     if expect == "stabilize":
         ref = medians_arr[-1]
         statistic = float(np.max(np.abs(medians_arr / ref - 1.0)))
-        thr = float(threshold)
+        thr = 0.10
     elif expect == "diverge":
         growths = medians_arr[1:] / medians_arr[:-1]
-        statistic = float(growth_min / np.min(growths))
+        statistic = float(2.0 / np.min(growths))
         thr = 1.0
     else:
         raise OutOfRangeError("expect must be 'stabilize' or 'diverge'")
-    return _judged(name, statistic, thr, n_paths * len(admissible), rng, t0, {
+    return _judged("entrance_proxy", statistic, thr, n_paths * len(admissible), rng, t0, {
         "starts": [float(x) for x in admissible],
         "skipped_degenerate_starts": [float(x) for x in skipped],
         "medians": [float(v) for v in medians],

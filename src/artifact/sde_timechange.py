@@ -118,33 +118,17 @@ def time_change_solve(
         raise OutOfRangeError("horizon must be nonnegative")
     A = additive_functional(path, s, alpha)
     meta = dict(path.meta, transform="time_change")
-    if A.final >= horizon:
-        mask = A.cumvals <= horizon
-        return Path(
-            A.cumvals[mask],
-            path.values[mask],
-            alpha=path.alpha,
-            rho=path.rho,
-            seed=path.seed,
-            step=path.step,
-            meta=meta,
-        )
-    k = min(int(np.searchsorted(A.times, A.times[-1] / 10.0)), A.cumvals.size - 1)
-    if _plateaued(A.final, A.final - A.cumvals[k]):
-        return Path(
-            A.cumvals,
-            path.values,
-            alpha=path.alpha,
-            rho=path.rho,
-            seed=path.seed,
-            step=path.step,
-            killed_at=A.final,
-            meta=dict(meta, exploded=True),
-        )
-    raise ExhaustedPathError(
-        f"driving path exhausted at clock {A.final:.6g} < horizon {horizon:.6g} "
-        "with the clock still growing; extend the driver's horizon"
-    )
+    mask, killed_at = A.cumvals <= horizon, None
+    if A.final < horizon:
+        k = min(int(np.searchsorted(A.times, A.times[-1] / 10.0)), A.cumvals.size - 1)
+        if not _plateaued(A.final, A.final - A.cumvals[k]):
+            raise ExhaustedPathError(
+                f"driving path exhausted at clock {A.final:.6g} < horizon {horizon:.6g} "
+                "with the clock still growing; extend the driver's horizon"
+            )
+        killed_at, meta["exploded"] = A.final, True
+    return Path(A.cumvals[mask], path.values[mask], alpha=path.alpha, rho=path.rho,
+                seed=path.seed, step=path.step, killed_at=killed_at, meta=meta)
 
 
 @dataclass

@@ -119,7 +119,7 @@ class StableParams:
         if not (0.0 < a < 2.0):
             raise OutOfRangeError(
                 f"alpha must lie in (0, 2), got {a}"
-                + (" (the alpha=2 boundary is the classical diffusive case,"
+                + (" (the alpha = 2 boundary is the classical diffusive case,"
                    " outside this family)" if a == 2.0 else "")
             )
         if not (0.0 <= r <= 1.0):

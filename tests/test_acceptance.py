@@ -305,9 +305,7 @@ def test_criterion_08_path_transform_round_trips():
 
 
 def test_criterion_09_occupation_potential_lemma():
-    out = mc.occupation_potential_lemma(
-        StableParams(1.2, 0.5), x0=0.0, interval=(-1.0, 1.0), a=0.5,
-        n_paths=100_000, rng=0)
+    out = mc.occupation_potential_lemma(StableParams(1.2, 0.5), n_paths=100_000, rng=0)
     ok = out.passed and out.statistic <= 3.0
     _report(9, "potential-of-kernel vs truncated-lifetime estimators, n=1e5", ok,
             f"|z|={out.statistic:.3f} (<= 3 SE)")

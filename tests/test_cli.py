@@ -110,6 +110,19 @@ def test_simulate_with_sigma_records_time_change(tmp_path, capsys):
     assert path.times[-1] <= 1.0
 
 
+def test_simulate_sigma_stops_at_the_driver_step_budget(capsys):
+    # the clock of theta = 1.05 at alpha 0.5 grows too slowly to cover 1000:
+    # each retry quadruples the driver, so the run must stop at a size, not
+    # after a number of retries (the twelfth would draw about 1.7e10 steps)
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "simulate", "--alpha", "0.5", "--rho", "0.5",
+                          "--sigma", "power:c=1,theta=1.05", "--horizon", "1000")
+    assert code == 2
+    assert out == ""
+    assert "steps" in err
+    assert time.perf_counter() - t0 < 2.0
+
+
 # ---------------------------------------------------------------------------
 # oracle-eval
 

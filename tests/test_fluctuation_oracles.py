@@ -12,7 +12,10 @@ from scipy import integrate, special
 from artifact import (
     DomainError,
     OutOfRangeError,
+    LogPower,
+    SigmaFunction,
     StableParams,
+    UndecidedIntegralError,
     WrongBranchError,
     cauchy_killed_potential,
     creep_probability,
@@ -240,6 +243,25 @@ def test_expected_explosion_time_requires_explosive_regime():
     with pytest.raises(OutOfRangeError):
         expected_explosion_time(StableParams(1.5, 0.5),
                                 parse_sigma_spec("power:c=1,theta=2"), 0.0)
+
+
+class _OpaqueLogPower(SigmaFunction):
+    """LogPower(1, 1, 2.5) behind a class the classifier has no tail rule
+    for, and with no declared tails: only the quadrature ladder is left."""
+
+    def __init__(self):
+        self._s = LogPower(1.0, 1.0, 2.5)
+
+    def __call__(self, x):
+        return self._s(x)
+
+    def describe(self) -> str:
+        return "opaque " + self._s.describe()
+
+
+def test_expected_explosion_time_undecided_integral_raises():
+    with pytest.raises(UndecidedIntegralError, match="cannot certify"):
+        expected_explosion_time(StableParams(0.5, 0.5), _OpaqueLogPower(), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,9 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
     full = mc.interval_exit_occupation(p, y, -1.0, 1.0, step, n, rng=stream(7, 1003), batch=n)
     ends = mc._walk(p, y, n, stream(7, 1003), n, lambda x: step,
                     lambda x: (x <= -1.0) | (x >= 1.0), max_steps=k_cap)
-    s = int(np.sum(ends.code == mc._STOPPED))
+    s = int(np.sum(ends.stopped))
     assert 0 < s < n
-    assert np.all(ends.code[s:] == mc._MAX_STEPS)
+    assert not np.any(ends.stopped[s:])
     assert np.all(full["steps"][:s] <= k_cap) and np.all(full["steps"][s:] > k_cap)
     np.testing.assert_array_equal(ends.steps[:s], full["steps"][:s])
     np.testing.assert_array_equal(ends.x[:s], full["exit_positions"][:s])
