@@ -26,12 +26,21 @@ Tabulated(xs, ys, tail_plus, tail_minus)
 Composite(parts)
     Pointwise product of component sigma functions.  Tail exponents add when
     every part declares them, otherwise the composite declares none.
+
+Evaluation
+----------
+Every kind is called on a point or on an array.  A finite float (Python or
+numpy) goes in and a Python float comes out, computed in plain float
+arithmetic and bit-identical to the 0-d numpy evaluation; arrays, 0-d arrays
+and any other input take the numpy path.  The integral tests call sigma one
+quadrature node at a time, the samplers call it on whole arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +58,28 @@ __all__ = [
 
 class NonPositiveError(ValueError):
     """sigma must be strictly positive; raised at construction time."""
+
+
+def _pointwise(point, array):
+    """A ``__call__`` that evaluates a finite float x as point(self, x) and
+    anything else as array(self, x as a float array).
+
+    Python's ``**`` raises where numpy's returns inf or 0, so such a point is
+    evaluated by ``array``, which gives the 0-d numpy value, warnings and all.
+    Each kind binds the result as ``__call__`` in its own class body, which is
+    where ``perfbench/tracer.py`` looks for it.
+    """
+
+    def __call__(self, x):
+        if isinstance(x, float) and math.isfinite(x):
+            try:
+                return point(self, float(x))
+            except ArithmeticError:
+                pass
+        out = array(self, np.asarray(x, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    return __call__
 
 
 class SigmaFunction:
@@ -78,10 +109,10 @@ class PowerTail(SigmaFunction):
         object.__setattr__(self, "tail_plus", float(self.theta))
         object.__setattr__(self, "tail_minus", float(self.theta))
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.c * (1.0 + x * x) ** (self.theta / 2.0)
-        return float(out) if out.ndim == 0 else out
+    def _at(self, x):
+        return self.c * (1.0 + x * x) ** (self.theta / 2.0)
+
+    __call__ = _pointwise(_at, _at)
 
     def describe(self) -> str:
         return f"power:c={self.c:g},theta={self.theta:g}"
@@ -102,14 +133,16 @@ class LogPower(SigmaFunction):
         # empirical log-log slope by ~ q/log|x|, more than the declared-tail
         # tolerance on any finite window
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = (
-            self.c
-            * (1.0 + x * x) ** (self.theta / 2.0)
-            * np.log(math.e + x * x) ** self.q
-        )
-        return float(out) if out.ndim == 0 else out
+    def _at(self, x, log=None):
+        if log is None:
+            log = np.log(math.e + x * x)
+        return self.c * (1.0 + x * x) ** (self.theta / 2.0) * log ** self.q
+
+    def _point(self, x):
+        # np.log, not math.log: the two differ in the last bit at some points
+        return self._at(x, float(np.log(math.e + x * x)))
+
+    __call__ = _pointwise(_point, _at)
 
     def describe(self) -> str:
         return f"logpower:c={self.c:g},theta={self.theta:g},q={self.q:g}"
@@ -121,6 +154,9 @@ class Tabulated(SigmaFunction):
     ys: tuple
     tail_plus: float | None = None
     tail_minus: float | None = None
+    # the grid as read-only arrays for the array path, built once
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -135,11 +171,25 @@ class Tabulated(SigmaFunction):
             raise ValueError("tabulated sigma requires declared tail exponents")
         object.__setattr__(self, "xs", tuple(float(v) for v in xs))
         object.__setattr__(self, "ys", tuple(float(v) for v in ys))
+        for name, grid in (("_xs", self.xs), ("_ys", self.ys)):
+            grid = np.array(grid)
+            grid.flags.writeable = False
+            object.__setattr__(self, name, grid)
 
-    def __call__(self, x):
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        x = np.asarray(x, dtype=float)
+    def _point(self, x):
+        xs, ys = self.xs, self.ys
+        if x > xs[-1]:
+            return ys[-1] * (abs(x) / max(abs(xs[-1]), 1e-300)) ** self.tail_plus
+        if x < xs[0]:
+            return ys[0] * (abs(x) / max(abs(xs[0]), 1e-300)) ** self.tail_minus
+        j = bisect.bisect_right(xs, x) - 1
+        if xs[j] == x:  # np.interp's rule at a node, the last one included
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (x - xs[j]) + ys[j]
+
+    def _array(self, x):
+        xs, ys = self._xs, self._ys
         out = np.interp(x, xs, ys)
         # matched power extrapolation beyond the grid
         hi, lo = xs[-1], xs[0]
@@ -151,7 +201,9 @@ class Tabulated(SigmaFunction):
         if np.any(mask):
             base = max(abs(lo), 1e-300)
             out = np.where(mask, ys[0] * (np.abs(x) / base) ** self.tail_minus, out)
-        return float(out) if out.ndim == 0 else out
+        return out
+
+    __call__ = _pointwise(_point, _array)
 
     @classmethod
     def from_csv(cls, path, tail_plus: float, tail_minus: float) -> "Tabulated":
@@ -193,12 +245,16 @@ class Composite(SigmaFunction):
             self, "tail_minus", None if any(v is None for v in tm) else float(sum(tm))
         )
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+    def _point(self, x):
+        return math.prod(part(x) for part in self.parts)
+
+    def _array(self, x):
         out = np.ones_like(x)
         for part in self.parts:
             out = out * part(x)
-        return float(out) if out.ndim == 0 else out
+        return out
+
+    __call__ = _pointwise(_point, _array)
 
     def describe(self) -> str:
         return "composite:(" + "*".join(p.describe() for p in self.parts) + ")"

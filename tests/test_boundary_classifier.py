@@ -16,11 +16,13 @@ from artifact import (
     PowerTail,
     SigmaFunction,
     StableParams,
+    Tabulated,
     classify,
     integral_I,
     integral_log,
     parse_sigma_spec,
 )
+from artifact import sigma_model
 from artifact.boundary_classifier import _REACH
 from artifact.fluctuation_oracles import expected_explosion_time
 
@@ -249,3 +251,29 @@ def test_report_ticks_validates_selector():
     rep = classify(StableParams(0.5, 0.5), PowerTail(c=1.0, theta=2.0))
     with pytest.raises(ValueError):
         rep.ticks("implosion")
+
+
+class _NumpyWithoutArrays:
+    """numpy, except that building an array or interpolating on one fails."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def asarray(self, *args, **kwargs):
+        raise AssertionError("sigma took the array path")
+
+    interp = asarray
+
+
+def test_classify_calls_sigma_on_points_only(monkeypatch):
+    # the integral tests pass sigma one float at a time; each such call must
+    # stay in plain float arithmetic, which is what keeps classify fast
+    grid = np.linspace(-20.0, 20.0, 41)
+    table = Tabulated(tuple(grid), tuple(1.0 + grid ** 2), tail_plus=2.0, tail_minus=2.0)
+    sigmas = (table, Composite((LogPower(c=1.0, theta=0.5, q=1.0), table)))
+    cases = [(p, s, method) for p in (StableParams(0.5, 0.5), StableParams(1.0, 0.5),
+                                      StableParams(1.5, 0.6))
+             for s in sigmas for method in ("auto", "adaptive_quadrature")]
+    want = [classify(p, s, method).to_json() for p, s, method in cases]
+    monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
+    assert [classify(p, s, method).to_json() for p, s, method in cases] == want

@@ -1,5 +1,8 @@
 """Coefficient-model tests: the power-tail family, log corrections, tabulated
-interpolation, composite products, and the spec-string parser."""
+interpolation, composite products, the point path against the 0-d numpy path,
+and the spec-string parser."""
+
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +61,11 @@ def test_tabulated_exact_at_nodes_and_guards():
         Tabulated(xs, ys)
     with pytest.raises(ValueError, match="tail exponents"):
         Tabulated(xs, ys, tail_plus=1.0)
+    # the grid arrays kept for the array path are not part of the value
+    twin = Tabulated(tuple(xs), tuple(ys), tail_plus=1.0, tail_minus=1.0)
+    assert twin == s and hash(twin) == hash(s)
+    assert repr(s) == ("Tabulated(xs=(-2.0, 0.0, 1.0, 3.0), ys=(4.0, 1.0, 2.0, 8.0), "
+                       "tail_plus=1.0, tail_minus=1.0)")
 
 
 def test_tabulated_extrapolates_each_tail_by_its_power():
@@ -84,6 +92,55 @@ def test_composite_product():
     b = PowerTail(c=1.0, theta=2.0)
     s = Composite([a, b])
     assert s(3.0) == pytest.approx(2.0 * 10.0)
+
+
+_GRID = np.linspace(-50.0, 50.0, 81)
+_TABLE = Tabulated(tuple(_GRID), tuple(1.0 + _GRID ** 2 * (1.0 + 0.3 * np.sin(_GRID))),
+                   tail_plus=2.0, tail_minus=1.5)
+_KINDS = {
+    "power theta>0": PowerTail(c=1.3, theta=2.0),
+    "power theta<0": PowerTail(c=0.7, theta=-1.4),
+    "logpower q>0": LogPower(c=0.5, theta=1.0, q=2.5),
+    "logpower q<0": LogPower(c=1.0, theta=1.0, q=-1.7),
+    "table": _TABLE,
+    "composite": Composite((PowerTail(c=2.0, theta=0.5), LogPower(c=1.0, theta=0.3, q=1.2),
+                            _TABLE)),
+}
+
+
+@pytest.mark.parametrize("name", list(_KINDS))
+def test_point_path_is_bit_identical_to_the_0d_numpy_path(name):
+    s = _KINDS[name]
+    rng = np.random.default_rng(11)
+    nodes = np.array(_TABLE.xs)
+    xs = np.concatenate([
+        rng.uniform(-70.0, 70.0, 6000),                    # inside and beyond the grid
+        10.0 * rng.standard_cauchy(2000),                  # far tails
+        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-8.0, 8.0, 2000),
+        nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        [0.0, -0.0, 1e-320, -1e-320, 1e154, -1e200],
+    ])
+    with np.errstate(all="ignore"):  # x * x overflows at the largest points
+        got = np.array([s(float(x)) for x in xs])
+        want = np.array([float(s(np.asarray(x))) for x in xs])
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} of {xs.size} differ, first at x = {xs[bad[0]]!r}"
+    for x in xs[::97]:
+        out = s(np.float64(x))
+        assert type(out) is float and type(s(float(x))) is float and out == s(float(x))
+
+
+@pytest.mark.parametrize("name", list(_KINDS))
+def test_point_path_overflow_and_nan_match_numpy(name):
+    s = _KINDS[name]
+    with np.errstate(all="ignore"):
+        for x in (1e300, -1e300):
+            want = float(s(np.asarray(x)))  # inf, 0 or, for inf * 0, nan
+            got = s(x)  # and no OverflowError from the point path
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        if s.tail_plus is not None and s.tail_plus > 0:
+            assert s(1e300) == math.inf
+    assert math.isnan(s(math.nan)) and math.isnan(s(np.float64("nan")))
 
 
 def test_parse_power_spec():
