@@ -8,6 +8,16 @@ others are exact in the package normalization ``Psi(z) = |z|^alpha
 exp(i pi alpha (1/2 - rho) sgn z)``.
 
 Notation: a = alpha rho, ahat = alpha rhohat throughout.
+
+The exit and entry densities are cases of one kernel, Rogozin's law across
+the endpoint +1 of (-1, 1) (``_rogozin``):
+
+    f(b, c; x, y) = sin(pi b)/pi |1-x|^b |1+x|^c |y-1|^{-b} |y+1|^{-c} / |y-x|,
+
+b the exponent at +1 and c the exponent at -1.  From x inside, f(a, ahat;
+x, y) is the density of the exit point y > 1; from x > 1 outside,
+f(ahat, a; x, y) is the density of the entry point y in (-1, 1), which the
+Riesz–Bogdan–Żak transform maps onto the exit law.
 """
 
 from __future__ import annotations
@@ -67,6 +77,15 @@ def _quad(f, a, b, **kw):
 # the h kernel (free potential / invariant density shape)
 
 
+def _h(p: StableParams, w: float) -> float:
+    """h(w) of ``h_function`` for alpha != 1, as a float."""
+    a = p.alpha
+    side = math.sin(math.pi * a * p.rho_hat) if w >= 0 else math.sin(math.pi * a * p.rho)
+    if w == 0.0:
+        return 0.0 if side == 0.0 or a > 1.0 else math.inf
+    return abs(math.gamma(1.0 - a)) / math.pi * side * abs(w) ** (a - 1.0)
+
+
 def h_function(p: StableParams, x: float) -> OracleResult:
     """Sided power kernel h governing occupation and duality weights.
 
@@ -79,17 +98,9 @@ def h_function(p: StableParams, x: float) -> OracleResult:
     alpha < 1 it diverges at w = 0 (returns +inf there); for alpha > 1 it
     vanishes at 0.  Satisfies |w|^{2(alpha-1)} h(1/w) = h(w).
     """
-    a = p.alpha
-    if a == 1.0:
+    if p.alpha == 1.0:
         return OracleResult(1.0, 0.0)
-    x = float(x)
-    coeff = abs(math.gamma(1.0 - a)) / math.pi
-    side = math.sin(math.pi * a * p.rho_hat) if x >= 0 else math.sin(math.pi * a * p.rho)
-    if x == 0.0:
-        if side == 0.0:
-            return OracleResult(0.0, 0.0)
-        return OracleResult(math.inf if a < 1.0 else 0.0, 0.0)
-    return OracleResult(coeff * side * abs(x) ** (a - 1.0), 0.0)
+    return OracleResult(_h(p, float(x)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,37 @@ def overshoot_cdf(p: StableParams, z: float, level: float, y) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# two-sided exit avoiding the origin
+# Rogozin's interval law and the two-sided exit avoiding the origin
+
+
+def _rogozin(b: float, c: float, x: float, y: float) -> float:
+    """f(b, c; x, y) of the module docstring: the law across the endpoint +1
+    of (-1, 1), with exponent b at +1 and c at -1."""
+    return (
+        math.sin(math.pi * b)
+        / math.pi
+        * abs(1.0 - x) ** b
+        * abs(1.0 + x) ** c
+        * abs(y - 1.0) ** (-b)
+        * abs(y + 1.0) ** (-c)
+        / abs(y - x)
+    )
+
+
+def _hit_zero_probability(p: StableParams, x: float) -> float:
+    """p0(x) = P_x( X hits 0 before leaving (-1, 1) ), x in (0, 1), 0 < a < 1:
+
+        p0(x) = (alpha-1) x^{alpha-1} int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt,
+
+    and 0 for alpha <= 1, where the origin is polar.  With t = (1+s)/(1-s)
+    the integral is 2^{alpha-1} w^a/a 2F1(a, alpha; a+1; w), w = (1-x)/(1+x).
+    """
+    al, a = p.alpha, p.alpha * p.rho
+    if al <= 1.0:
+        return 0.0
+    w = (1.0 - x) / (1.0 + x)
+    J = 2.0 ** (al - 1.0) * w ** a / a * special.hyp2f1(a, al, a + 1.0, w)
+    return float((al - 1.0) * x ** (al - 1.0) * J)
 
 
 def exit_density_avoid_zero(p: StableParams, x: float, y: float) -> OracleResult:
@@ -138,16 +179,10 @@ def exit_density_avoid_zero(p: StableParams, x: float, y: float) -> OracleResult
         P_x( X at the exit of (-1,1) is in dy ; exit happens before the path
              hits the origin ) / dy,        y > 1,
 
-    equal to
-
-        sin(pi a)/pi [ (1+x)^{ahat} (1-x)^{a} (1+y)^{-ahat} (y-1)^{-a} (y-x)^{-1}
-          - c (1+y)^{-ahat} (y-1)^{-a} y^{-1} x^{alpha-1}
-              int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt ],
-
-    with a = alpha rho, ahat = alpha rhohat and c = max(alpha-1, 0); for
-    alpha <= 1 the origin is polar and the subtracted term vanishes.  With
-    t = (1+s)/(1-s) the integral is 2^{alpha-1} w^a/a 2F1(a, alpha; a+1; w),
-    w = (1-x)/(1+x).
+    equal to f(a, ahat; x, y) - p0(x) f(a, ahat; 0, y), with f the module's
+    interval kernel and p0(x) the probability of hitting 0 before leaving
+    (-1, 1) (``_hit_zero_probability``): the strong Markov property at the
+    hitting time of 0, a = alpha rho, ahat = alpha rhohat.
     """
     x, y = float(x), float(y)
     if not (0.0 < x < 1.0):
@@ -160,22 +195,8 @@ def exit_density_avoid_zero(p: StableParams, x: float, y: float) -> OracleResult
         raise WrongBranchError(
             "exit law requires 0 < alpha rho < 1 (upward jumps present, no upward creep)"
         )
-    c0 = math.sin(math.pi * a) / math.pi
-    term1 = (
-        c0
-        * (1.0 + x) ** ahat
-        * (1.0 - x) ** a
-        * (1.0 + y) ** (-ahat)
-        * (y - 1.0) ** (-a)
-        / (y - x)
-    )
-    calpha = max(p.alpha - 1.0, 0.0)
-    if calpha == 0.0:
-        return OracleResult(term1, 0.0)
-    w = (1.0 - x) / (1.0 + x)
-    J = 2.0 ** (p.alpha - 1.0) * w ** a / a * special.hyp2f1(a, p.alpha, a + 1.0, w)
-    pref = c0 * (1.0 + y) ** (-ahat) * (y - 1.0) ** (-a) / y * x ** (p.alpha - 1.0)
-    return OracleResult(float(term1 - calpha * pref * J), 0.0)
+    value = _rogozin(a, ahat, x, y) - _hit_zero_probability(p, x) * _rogozin(a, ahat, 0.0, y)
+    return OracleResult(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +209,10 @@ def strip_exit_density(p: StableParams, x: float, y: float) -> OracleResult:
     For alpha < 1 with two-sided jumps (the strip is entered with
     probability < 1; this is the density of the defective entry law):
 
-        f(y | x) = sin(pi ahat)/pi (1+x)^{a} (x-1)^{ahat}
-                   (1+y)^{-a} (1-y)^{-ahat} (x-y)^{-1},       x > 1,
+        f(ahat, a; x, y),       x > 1,
 
-    and the mirror image (rho <-> rhohat, x -> -x, y -> -y) for x < -1.
+    with f the module's interval kernel, and its mirror image f(a, ahat;
+    -x, -y) for x < -1.
     """
     x, y = float(x), float(y)
     if p.alpha >= 1.0:
@@ -202,20 +223,8 @@ def strip_exit_density(p: StableParams, x: float, y: float) -> OracleResult:
         raise DomainError(f"start must lie outside [-1,1], got {x}")
     if not (-1.0 < y < 1.0):
         raise DomainError(f"entry position must lie in (-1,1), got {y}")
-    if x < 0:
-        x, y = -x, -y
-        a, ahat = p.alpha * p.rho_hat, p.alpha * p.rho
-    else:
-        a, ahat = p.alpha * p.rho, p.alpha * p.rho_hat
-    value = (
-        math.sin(math.pi * ahat)
-        / math.pi
-        * (1.0 + x) ** a
-        * (x - 1.0) ** ahat
-        * (1.0 + y) ** (-a)
-        * (1.0 - y) ** (-ahat)
-        / (x - y)
-    )
+    a, ahat = p.alpha * p.rho, p.alpha * p.rho_hat
+    value = _rogozin(ahat, a, x, y) if x > 0 else _rogozin(a, ahat, -x, -y)
     return OracleResult(value, 0.0)
 
 
@@ -231,7 +240,8 @@ def positive_exit_density(p: StableParams, x: float, y: float) -> OracleResult:
         P_x( X at tau^{(1,inf)} in dy ; tau^{(1,inf)} < tau^{(-inf,0)} )/dy
         = sin(pi a)/pi (1-x)^{a} x^{ahat} (y-1)^{-a} y^{-ahat} (y-x)^{-1},
 
-    y > 1, a = alpha rho, ahat = alpha rhohat.
+    y > 1, a = alpha rho, ahat = alpha rhohat: the module's interval kernel
+    2 f(a, ahat; 2x-1, 2y-1), the exit law of (-1, 1) moved onto (0, 1).
     """
     x, y = float(x), float(y)
     if not (0.0 < x < 1.0):
@@ -245,16 +255,7 @@ def positive_exit_density(p: StableParams, x: float, y: float) -> OracleResult:
             "alpha rho = 1 is the upward-creep branch: passage above is at the "
             "boundary point exactly; use creep_probability"
         )
-    value = (
-        math.sin(math.pi * a)
-        / math.pi
-        * (1.0 - x) ** a
-        * x**ahat
-        * (y - 1.0) ** (-a)
-        * y ** (-ahat)
-        / (y - x)
-    )
-    return OracleResult(value, 0.0)
+    return OracleResult(2.0 * _rogozin(a, ahat, 2.0 * x - 1.0, 2.0 * y - 1.0), 0.0)
 
 
 def creep_probability(p: StableParams, x: float) -> OracleResult:
@@ -286,44 +287,25 @@ def creep_probability(p: StableParams, x: float) -> OracleResult:
 # potentials
 
 
-def _sided_sin(p: StableParams, w: float) -> float:
-    if w > 0:
-        return math.sin(math.pi * p.alpha * p.rho)
-    if w < 0:
-        return math.sin(math.pi * p.alpha * p.rho_hat)
-    return 0.0
-
-
 def killed_potential_density(p: StableParams, x: float, y: float) -> OracleResult:
     """Potential density g(x, y) of the process killed on hitting the origin.
 
     For alpha in (1,2) (points are hit):
 
-        g(x,y) = -Gamma(1-alpha)/pi ( |y|^{alpha-1} s(y)
-                  - |y-x|^{alpha-1} s(y-x) + |x|^{alpha-1} s(-x) ),
+        g(x,y) = h(x) + h(-y) - h(x-y),
 
-    s(w) = sin(pi a rho) 1{w>0} + sin(pi a rhohat) 1{w<0}; equivalently
-    g(x,y) = h(x) + h(-y) - h(x-y) in terms of the harmonic kernel
-    h(w) = |Gamma(1-alpha)|/pi (sin(pi a rhohat) 1{w>=0} + sin(pi a rho)
-    1{w<0}) |w|^{alpha-1}.  The normalization is pinned two ways: in the
-    symmetric case the compensated resolvent kernel is
-    (1/pi) int (1-cos(zw)) z^{-alpha} dz = -Gamma(1-alpha) sin(pi alpha/2)/pi
-    * |w|^{alpha-1} = h(w), and Monte Carlo occupation measures of the
-    origin-killed process match g with this constant (and are off by pi
-    with 1/pi^2).  The ratio g(x,y)/g(y,y) is the probability of hitting y
+    with h the harmonic kernel of ``h_function``.  The normalization is
+    pinned two ways: in the symmetric case the compensated resolvent kernel
+    is (1/pi) int (1-cos(zw)) z^{-alpha} dz = -Gamma(1-alpha) sin(pi
+    alpha/2)/pi * |w|^{alpha-1} = h(w), and Monte Carlo occupation measures
+    of the origin-killed process match g with this constant (and are off by
+    pi with 1/pi^2).  The ratio g(x,y)/g(y,y) is the probability of hitting y
     before 0 from x.
     """
     if not (1.0 < p.alpha < 2.0):
         raise OutOfRangeError("origin-killed potential requires alpha in (1,2)")
     x, y = float(x), float(y)
-    a = p.alpha
-    coeff = -math.gamma(1.0 - a) / math.pi
-    value = coeff * (
-        abs(y) ** (a - 1.0) * _sided_sin(p, y)
-        - abs(y - x) ** (a - 1.0) * _sided_sin(p, y - x)
-        + abs(x) ** (a - 1.0) * _sided_sin(p, -x)
-    )
-    return OracleResult(value, 0.0)
+    return OracleResult(_h(p, x) + _h(p, -y) - _h(p, x - y), 0.0)
 
 
 def halfline_killed_potential(p: StableParams, x: float, y: float) -> OracleResult:
@@ -393,25 +375,16 @@ def expected_explosion_time(p: StableParams, s: SigmaFunction, x0: float) -> Ora
     if not verdict.finite:
         return OracleResult(math.inf, 0.0)
 
-    cplus = h_function(p, 1.0).value  # weight of h on w > 0 (y < x0)
-    cminus = h_function(p, -1.0).value  # weight of h on w < 0 (y > x0)
-
     total, err = 0.0, 0.0
-    # below the start: w = x0 - y > 0, u = (x0 - y)^alpha near the singularity
-    if cplus > 0.0:
-        v1, e1 = _quad(lambda u: s(x0 - u ** (1.0 / a)) ** (-a) / a, 0.0, 1.0)
-        v2, e2 = _quad(
-            lambda y: s(y) ** (-a) * (x0 - y) ** (a - 1.0), -np.inf, x0 - 1.0
-        )
-        total += cplus * (v1 + v2)
-        err += cplus * (e1 + e2)
-    if cminus > 0.0:
-        v1, e1 = _quad(lambda u: s(x0 + u ** (1.0 / a)) ** (-a) / a, 0.0, 1.0)
-        v2, e2 = _quad(
-            lambda y: s(y) ** (-a) * (y - x0) ** (a - 1.0), x0 + 1.0, np.inf
-        )
-        total += cminus * (v1 + v2)
-        err += cminus * (e1 + e2)
+    # side +1 is below the start (w = x0 - y > 0), side -1 above; h(side) is
+    # the weight of that side, and u = |w|^alpha near the singularity
+    for side, far in ((1.0, (-np.inf, x0 - 1.0)), (-1.0, (x0 + 1.0, np.inf))):
+        weight = _h(p, side)
+        if weight > 0.0:
+            v1, e1 = _quad(lambda u: s(x0 - side * u ** (1.0 / a)) ** (-a) / a, 0.0, 1.0)
+            v2, e2 = _quad(lambda y: s(y) ** (-a) * (side * (x0 - y)) ** (a - 1.0), *far)
+            total += weight * (v1 + v2)
+            err += weight * (e1 + e2)
     return OracleResult(total, err)
 
 

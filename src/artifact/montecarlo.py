@@ -551,16 +551,21 @@ def exit_interval_samples(
     max_steps: int = 2_000_000,
 ) -> dict:
     """Adaptive-step first exit from (lo, hi); optionally kill at |x| <= eps
-    first (exit positions conditioned on avoiding the origin)."""
+    first (exit positions conditioned on avoiding the origin).
+
+    The step is 1e-4 + 3e-3 d^alpha at distance d from the nearer edge.  With
+    kill_eps it is also at most max(3e-3 |x|^alpha, 3e-3 kill_eps^alpha), the
+    rule of ``origin_kill_occupation``, so steps shrink geometrically toward
+    the origin and do not step over the kill ball."""
     if not (lo < x0 < hi):
         raise OutOfRangeError("start must be inside the interval")
     al = p.alpha
 
     def step(x):
-        d = np.minimum(x - lo, hi - x)
-        if kill_eps is not None:
-            d = np.minimum(d, np.abs(x))
-        return 1e-4 + 3e-3 * np.maximum(d, 0.0) ** al
+        dt = 1e-4 + 3e-3 * np.maximum(np.minimum(x - lo, hi - x), 0.0) ** al
+        if kill_eps is None:
+            return dt
+        return np.minimum(dt, 3e-3 * np.maximum(np.abs(x), kill_eps) ** al)
 
     def outside(x):
         return (x <= lo) | (x >= hi)

@@ -133,16 +133,17 @@ class LogPower(SigmaFunction):
         # empirical log-log slope by ~ q/log|x|, more than the declared-tail
         # tolerance on any finite window
 
-    def _at(self, x, log=None):
-        if log is None:
-            log = np.log(math.e + x * x)
+    def _at(self, x, log):
         return self.c * (1.0 + x * x) ** (self.theta / 2.0) * log ** self.q
 
     def _point(self, x):
         # np.log, not math.log: the two differ in the last bit at some points
         return self._at(x, float(np.log(math.e + x * x)))
 
-    __call__ = _pointwise(_point, _at)
+    def _array(self, x):
+        return self._at(x, np.log(math.e + x * x))
+
+    __call__ = _pointwise(_point, _array)
 
     def describe(self) -> str:
         return f"logpower:c={self.c:g},theta={self.theta:g},q={self.q:g}"

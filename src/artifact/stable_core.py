@@ -257,12 +257,9 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
 
 
 def _upward_exit_probability(p: StableParams) -> float:
-    """P_0(X leaves (-1, 1) upwards) for a two-sided driver, a = alpha rho:
-    sin(pi a)/pi 2^{1-alpha} B(1-a, alpha) 2F1(1, 1-a; 1+alpha-a; -1), the
-    mass of Rogozin's exit density above 1."""
-    al, a = p.alpha, p.alpha * p.rho
-    return float(math.sin(math.pi * a) / math.pi * 2.0 ** (1.0 - al)
-                 * special.beta(1.0 - a, al) * special.hyp2f1(1.0, 1.0 - a, 1.0 + al - a, -1.0))
+    """P_0(X leaves (-1, 1) upwards) for a two-sided driver: the mass of
+    Rogozin's exit density above 1, I_{1/2}(alpha rhohat, alpha rho)."""
+    return float(special.betainc(p.alpha * p.rho_hat, p.alpha * p.rho, 0.5))
 
 
 def _upward_exits(gen: np.random.Generator, al: float, a: float, n: int) -> np.ndarray:

@@ -287,6 +287,18 @@ def test_strip_entry_mass_increases_toward_strip():
     assert mass(1.2) > mass(2.0) > mass(5.0)
 
 
+@pytest.mark.parametrize("alpha, rho", [(0.7, 0.3), (0.4, 0.8)])
+@pytest.mark.parametrize("x", [1.5, 4.0])
+@pytest.mark.parametrize("y", [-0.9, 0.0, 0.6])
+def test_strip_entry_from_below_is_the_mirrored_driver(alpha, rho, x, y):
+    # -X is stable with rho and rhohat swapped, so entry from -x at -y is
+    # entry of the mirrored driver from x at y; at rho != 1/2 this pins the
+    # constant of the x < -1 branch, which normalised CDFs cannot see
+    got = strip_exit_density(StableParams(alpha, rho), -x, -y).value
+    want = strip_exit_density(StableParams(alpha, 1.0 - rho), x, y).value
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_positive_exit_density_mass_is_two_barrier_probability():
     # integral over y > 1 equals P_x(up-exit before down-exit) = I_x(a-hat, a)
     for (al, rho, x) in [(0.7, 0.5, 0.5), (1.5, 0.5, 0.3), (1.2, 0.55, 0.6)]:
@@ -316,8 +328,9 @@ def test_exit_density_avoid_zero_mass():
 @pytest.mark.parametrize("alpha, rho", [(1.2, 0.5), (1.3, 0.45), (1.5, 0.5), (1.8, 0.55)])
 @pytest.mark.parametrize("x", [0.05, 0.3, 0.7, 0.95])
 def test_exit_density_avoid_zero_integral_form(alpha, rho, x):
-    # the docstring's form, with J = int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt
-    # by tanh-sinh quadrature in place of the hypergeometric closed form
+    # f(a, ahat; x, y) - p0(x) f(a, ahat; 0, y) written out, with
+    # J = int_1^{1/x} (t-1)^{a-1} (t+1)^{ahat-1} dt in p0 by tanh-sinh
+    # quadrature in place of the hypergeometric closed form
     p = StableParams(alpha, rho)
     a, ahat = alpha * rho, alpha * (1.0 - rho)
     J = float(mpmath.quad(lambda t: (t - 1) ** (a - 1) * (t + 1) ** (ahat - 1),

@@ -16,7 +16,12 @@ from artifact import (
     parse_sigma_spec,
 )
 from artifact import montecarlo as mc
-from artifact.fluctuation_oracles import creep_probability, overshoot_cdf, strip_exit_density
+from artifact.fluctuation_oracles import (
+    _hit_zero_probability,
+    creep_probability,
+    overshoot_cdf,
+    strip_exit_density,
+)
 from artifact.sde_timechange import explosion_estimate
 from artifact.stable_core import OutOfRangeError, stream
 
@@ -322,6 +327,17 @@ def test_walk_reach_refuses_a_clock():
 def test_interval_exit_out_of_steps_raises(kernel):
     with pytest.raises(RuntimeError, match="max_steps"):
         kernel(StableParams(1.5, 0.5))
+
+
+@pytest.mark.parametrize("alpha, rho, x", [(1.5, 0.5, 0.3), (1.8, 0.45, 0.5)])
+def test_exit_interval_zero_hit_fraction_is_hit_zero_probability(alpha, rho, x):
+    # with a kill ball of 1e-5 the zero hits are a binomial count with
+    # p0(x), the subtracted weight of exit_density_avoid_zero; steps that
+    # jump the ball undercount them
+    p, n = StableParams(alpha, rho), 4000
+    p0 = _hit_zero_probability(p, x)
+    out = mc.exit_interval_samples(p, x, n_paths=n, rng=0, kill_eps=1e-5)
+    assert abs(out["zero_hits"] / n - p0) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / n)
 
 
 def test_exit_interval_kill_accounts_for_every_path():
