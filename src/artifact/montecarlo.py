@@ -37,7 +37,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -225,29 +225,45 @@ class _Ends(NamedTuple):
     stopped: np.ndarray  # its stop mask fired (not the horizon or max_steps)
 
 
+class _Sum(NamedTuple):
+    """A per-lane sum for ``_walk``.  Each lane carries at(x) for its position
+    x, evaluated once there, and a step from x to x_new over dt adds
+    term(at(x), at(x_new), dt)."""
+
+    at: Callable
+    term: Callable
+
+
 def _trapezoid(g):
-    return lambda x, x_new, dt: 0.5 * (g(x) + g(x_new)) * dt
+    """0.5 (g(x) + g(x_new)) dt, with g at a lane's position carried from the
+    step that brought the lane there."""
+    return _Sum(g, lambda g_x, g_new, dt: 0.5 * (g_x + g_new) * dt)
 
 
 def _left_endpoint(g):
-    return lambda x, x_new, dt: dt * g(x)
+    """dt g(x) at the left end of each step; a lane carries its position, so
+    g is never evaluated where the walk ends."""
+    return _Sum(lambda x: x, lambda x, x_new, dt: dt * g(x))
 
 
-def _jump_or_step(p, gen, x, dt, r, acc, accumulate):
-    """One iteration of ``_walk`` with a reach r per lane: (x_new, acc)."""
+def _jump_or_step(p, gen, x, dt, r, v, acc, accumulate):
+    """One iteration of ``_walk`` with a reach r per lane: (x_new, v_new),
+    where v_new is what each lane carries at x_new (None without a sum)."""
     dt = np.broadcast_to(dt, x.shape)
     jump = r >= dt ** (1.0 / p.alpha)
     x_new = np.empty_like(x)
     n_jumps = int(np.count_nonzero(jump))
     if n_jumps:
         x_new[jump] = x[jump] + r[jump] * sample_interval_exit(p, gen, n_jumps)
+    steps = ~jump
     if n_jumps < x.size:
-        steps = ~jump
-        x_step, dt_step = x[steps], dt[steps]
-        x_new[steps] = x_step + sample_increment(p, dt_step, gen)
-        if acc is not None:
-            acc[steps] += accumulate(x_step, x_new[steps], dt_step)
-    return x_new, acc
+        x_new[steps] = x[steps] + sample_increment(p, dt[steps], gen)
+    if acc is None:
+        return x_new, None
+    v_new = accumulate.at(x_new)
+    if n_jumps < x.size:
+        acc[steps] += accumulate.term(v[steps], v_new[steps], dt[steps])
+    return x_new, v_new
 
 
 def _walk(
@@ -268,9 +284,10 @@ def _walk(
 
     Each iteration takes dt = step(x) (a scalar or one length per lane,
     capped by the time left under a finite horizon), draws one increment per
-    lane, adds accumulate(x, x_new, dt) to the lane sums and ends the lanes
-    with stop(x_new), which are marked stopped, or whose clock reached the
-    horizon.  Lanes still running after max_steps iterations end unstopped.
+    lane, adds the step's term of the ``_Sum`` accumulate to the lane sums and
+    ends the lanes with stop(x_new), which are marked stopped, or whose clock
+    reached the horizon.  Lanes still running after max_steps iterations end
+    unstopped.
 
     With reach(x), the half-width r of an interval around each lane inside
     which nothing stops the lane or accumulates, a lane with r >= dt^{1/alpha}
@@ -309,7 +326,9 @@ def _walk(
         m = min(batch, n_paths - first)
         x = np.full(m, float(x0))
         t = np.zeros(m) if timed else None
-        acc = np.zeros(m) if accumulate is not None else None
+        acc = v = None
+        if accumulate is not None:
+            acc, v = np.zeros(m), accumulate.at(x)
         for it in range(max_steps):
             if x.size == 0:
                 break
@@ -318,15 +337,18 @@ def _walk(
                 dt = np.minimum(dt, horizon - t)
                 t = t + dt
             if reach is not None:
-                x_new, acc = _jump_or_step(p, gen, x, dt, reach(x), acc, accumulate)
+                x, v = _jump_or_step(p, gen, x, dt, reach(x), v, acc, accumulate)
             else:
                 if np.ndim(dt):
-                    x_new = x + sample_increment(p, dt, gen)
+                    x_new = sample_increment(p, dt, gen)
                 else:
-                    x_new = x + sample_increment(p, dt, gen, size=x.size)
+                    x_new = sample_increment(p, dt, gen, size=x.size)
+                x_new += x
+                x = x_new
                 if acc is not None:
-                    acc = acc + accumulate(x, x_new, dt)
-            x = x_new
+                    v_new = accumulate.at(x)
+                    acc += accumulate.term(v, v_new, dt)
+                    v = v_new
             stopped = stop(x)
             ended = stopped | (t >= horizon) if timed else stopped
             if np.any(ended):
@@ -336,7 +358,7 @@ def _walk(
                 if timed:
                     t = t[keep]
                 if acc is not None:
-                    acc = acc[keep]
+                    acc, v = acc[keep], v[keep]
         if x.size:
             record(x, acc, max_steps, False)
     return out
@@ -412,7 +434,7 @@ def strip_entry_samples(
         raise OutOfRangeError("start must be outside the strip")
     al = p.alpha
     if sigma is None:
-        clock = lambda x, x_new, dt: dt
+        clock = _left_endpoint(lambda x: 1.0)
     else:
         clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
     ends = _walk(

@@ -206,16 +206,25 @@ def explosion_estimate(
     flags = np.empty(n_paths, dtype=bool)
     for bi, first in enumerate(range(0, n_paths, batch)):
         m = min(batch, n_paths - first)
+        # each (m, len(ts)) matrix is dropped once spent, so a batch holds
+        # at most three at a time
         incs = sample_increments_matrix(p, dts, m, _keyed(rng, bi))
         x = np.empty((m, ts.size))
         x[:, 0] = x0
         np.cumsum(incs, axis=1, out=x[:, 1:])
+        del incs
         x[:, 1:] += x0
-        f = np.asarray(s(x), dtype=float) ** (-alpha)
-        a_inc = 0.5 * (f[:, 1:] + f[:, :-1]) * dts
+        f = np.asarray(s(x), dtype=float)
+        del x
+        f = f ** (-alpha)  # a fresh array: sigma's may be a view or read-only
+        a_inc = f[:, 1:] + f[:, :-1]
+        del f
+        a_inc *= 0.5
+        a_inc *= dts
         total = a_inc.sum(axis=1)
         samples[first : first + m] = total
         flags[first : first + m] = _plateaued(total, a_inc[:, k_decade:].sum(axis=1))
+        del a_inc
     return ExplosionEstimate(
         n_paths=n_paths, horizon=float(horizon), samples=samples,
         plateaued=flags, seed=_seed_of(rng),
@@ -229,7 +238,8 @@ def sample_increments_matrix(
     from .stable_core import _standard_draws
 
     draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
-    return dts ** (1.0 / p.alpha) * draws
+    draws *= dts ** (1.0 / p.alpha)
+    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ substituting V = U + pi/2 recovers Kanter's positive-stable sampler for
 ``exp(-lambda^alpha)``, which pins the normalization; the general case is
 validated against the characteristic function in the test suite.
 Self-similarity gives increments over a step dt as ``dt^{1/alpha} X_1``.
+The draws of X_1 come back in a fresh array that the caller owns, so the
+scaling by ``dt^{1/alpha}`` is done in place.
 
 Random streams are counter-based (Philox) and splittable: ``stream(seed,
 *key)`` yields independent generators for distinct keys, which is how the
@@ -221,16 +223,33 @@ def _seed_of(rng) -> int | None:
 
 
 def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. copies of X_1 via Chambers–Mallows–Stuck in (alpha, rho)."""
+    """n i.i.d. copies of X_1 via Chambers–Mallows–Stuck in (alpha, rho).
+
+    The draws are computed in place in three buffers (u, w and c), with the
+    operations and their order of sin(a u - theta) / cos(u)^(1/a) *
+    (cos((1-a) u + theta) / w)^((1-a)/a), so every float is the one that
+    expression gives.  The returned array is a fresh buffer that the caller
+    owns and may scale in place.
+    """
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     if p.alpha == 1.0:
-        return np.tan(u)
+        return np.tan(u, out=u)
     w = rng.standard_exponential(size=n)
     a = p.alpha
     th = p.theta
-    s = np.sin(a * u - th) / np.cos(u) ** (1.0 / a)
-    t = (np.cos((1.0 - a) * u + th) / w) ** ((1.0 - a) / a)
-    return s * t
+    c = np.multiply(u, 1.0 - a)
+    c += th
+    np.cos(c, out=c)
+    np.divide(c, w, out=w)
+    w **= (1.0 - a) / a  # w = (cos((1-a) u + theta) / w)^((1-a)/a)
+    np.multiply(u, a, out=c)
+    c -= th
+    np.sin(c, out=c)
+    np.cos(u, out=u)
+    u **= 1.0 / a  # u = cos(u)^(1/a)
+    c /= u
+    c *= w
+    return c
 
 
 def sample_increment(p: StableParams, dt, rng, size: int | None = None):
@@ -242,18 +261,21 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
     """
     gen = _keyed(rng)
     dt_arr = np.asarray(dt, dtype=float)
-    if np.any(dt_arr < 0) or not np.all(np.isfinite(dt_arr)):
+    # a NaN makes min() NaN, which fails the comparison like any bad step
+    if dt_arr.size and not (dt_arr.min() >= 0.0 and dt_arr.max() < math.inf):
         raise OutOfRangeError("step lengths must be finite and nonnegative")
     if dt_arr.ndim == 0:
         n = 1 if size is None else int(size)
-        draws = dt_arr ** (1.0 / p.alpha) * _standard_draws(p, gen, n)
+        draws = _standard_draws(p, gen, n)
+        draws *= dt_arr ** (1.0 / p.alpha)
         if size is None:
             return float(draws[0])
         return draws
     if size is not None:
         raise ValueError("size applies only to scalar dt")
     draws = _standard_draws(p, gen, dt_arr.size).reshape(dt_arr.shape)
-    return dt_arr ** (1.0 / p.alpha) * draws
+    draws *= dt_arr ** (1.0 / p.alpha)
+    return draws
 
 
 def _upward_exit_probability(p: StableParams) -> float:

@@ -319,6 +319,35 @@ def test_walk_reach_refuses_a_clock():
                  horizon=1.0, max_steps=10)
 
 
+def _window_reach(x):
+    return np.minimum(np.abs(x) - 1e-3, np.maximum(np.maximum(1.0 - x, x - 2.0), 0.0))
+
+
+@pytest.mark.parametrize("reach", [None, _window_reach], ids=["steps", "jumps"])
+def test_trapezoid_carries_the_integrand_from_step_to_step(reach):
+    # the integrand is evaluated once at each position a lane reaches (and at
+    # the start), and the sums are those of 0.5 (g(x) + g(x_new)) dt with g
+    # evaluated at both ends, bit for bit on the same draws
+    p, n = StableParams(1.5, 0.5), 300
+    points = []
+
+    def g(z):
+        points.append(z.size)
+        return np.where((z >= 1.0) & (z <= 2.0), (1.0 + z * z) ** -0.75, 0.0)
+
+    def walk(accumulate):
+        return mc._walk(p, 0.5, n, 3, 150, lambda x: np.clip(3e-3 * np.abs(x) ** 1.5, 1e-6, 0.05),
+                        lambda x: np.abs(x) <= 1e-3, accumulate=accumulate, reach=reach,
+                        max_steps=400)
+
+    ends = walk(mc._trapezoid(g))
+    assert sum(points) == n + int(np.sum(ends.steps))
+    both = walk(mc._Sum(lambda x: x, lambda x, x_new, dt: 0.5 * (g(x) + g(x_new)) * dt))
+    np.testing.assert_array_equal(ends.x, both.x)
+    np.testing.assert_array_equal(ends.acc, both.acc)
+    assert np.count_nonzero(ends.acc) > n // 10
+
+
 @pytest.mark.parametrize("kernel", [
     lambda p: mc.exit_interval_samples(p, 0.2, n_paths=100, rng=0, max_steps=1),
     lambda p: mc.interval_exit_occupation(p, 0.2, -1.0, 1.0, 2e-3, 100, rng=0,

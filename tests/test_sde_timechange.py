@@ -4,6 +4,7 @@ spatial inversion surgery, and a coarse cross-validation of the solver law
 against a direct Euler scheme."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from artifact import (
     HitZeroError,
     Path,
     PowerTail,
+    SigmaFunction,
     StableParams,
     parse_sigma_spec,
     sample_increment,
@@ -23,6 +25,7 @@ from artifact import (
 from artifact.sde_timechange import (
     AdditiveFunctional,
     _explosion_grid,
+    _plateaued,
     additive_functional,
     explosion_estimate,
     sample_increments_matrix,
@@ -30,7 +33,7 @@ from artifact.sde_timechange import (
     spatial_inversion_inverse,
     time_change_solve,
 )
-from artifact.stable_core import stream
+from artifact.stable_core import _standard_draws, stream
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,63 @@ def test_explosion_plateau_flags_match_time_change_solve():
             exploded.append(False)
     assert 0 < est.plateaued.sum() < n  # both verdicts occur
     np.testing.assert_array_equal(est.plateaued, exploded)
+
+
+class _ReadOnlySquare(SigmaFunction):
+    """sigma(x) = 1 + x^2, returned as a read-only view: the estimator must
+    never write into what sigma returns."""
+
+    def __call__(self, x):
+        out = (1.0 + np.square(x))[...]
+        out.flags.writeable = False
+        return out
+
+
+def _explosion_reference(p, s, x0, horizon, n_paths, seed, batch):
+    """(samples, plateaued) of explosion_estimate written with one temporary
+    per operation and nothing done in place."""
+    ts = _explosion_grid(horizon, 5e-3, 1.04)
+    dts = np.diff(ts)
+    k = int(np.searchsorted(ts, horizon / 10.0))
+    samples, flags = [], []
+    for bi, first in enumerate(range(0, n_paths, batch)):
+        m = min(batch, n_paths - first)
+        draws = _standard_draws(p, stream(seed, bi), m * dts.size).reshape(m, dts.size)
+        incs = dts ** (1.0 / p.alpha) * draws
+        x = np.concatenate((np.full((m, 1), x0), x0 + np.cumsum(incs, axis=1)), axis=1)
+        f = np.asarray(s(x), dtype=float) ** (-p.alpha)
+        a_inc = 0.5 * (f[:, 1:] + f[:, :-1]) * dts
+        total = a_inc.sum(axis=1)
+        samples.append(total)
+        flags.append(_plateaued(total, a_inc[:, k:].sum(axis=1)))
+    return np.concatenate(samples), np.concatenate(flags)
+
+
+@pytest.mark.parametrize("p, s, x0, horizon", [
+    (StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 0.0, 1e6),
+    (StableParams(0.7, 1.0), _ReadOnlySquare(), 0.5, 1e4),
+])
+def test_explosion_estimate_equals_the_unfused_reference(p, s, x0, horizon):
+    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=300, rng=0, batch=100)
+    samples, flags = _explosion_reference(p, s, x0, horizon, 300, 0, 100)
+    np.testing.assert_array_equal(est.samples, samples)
+    np.testing.assert_array_equal(est.plateaued, flags)
+
+
+def test_explosion_batches_hold_at_most_three_matrices():
+    # increments, driver, sigma, integrand and trapezoid terms are each an
+    # (m, len(ts)) float matrix; each is dropped once spent and none outlives
+    # its batch, so three batches in a row never hold 3.5 of them at once
+    p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 1000
+    matrix_bytes = m * _explosion_grid(1e6, 5e-3, 1.04).size * 8
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    tracemalloc.start()
+    try:
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=3 * m, rng=0, batch=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * matrix_bytes, peak / matrix_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from artifact import (
     sample_path_at,
     stream,
 )
-from artifact.stable_core import _upward_exit_probability
+from artifact.stable_core import _standard_draws, _upward_exit_probability
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,63 @@ def test_char_exponent_closed_form_and_symmetry():
     # Hermitian symmetry: conj at -z
     assert char_exponent(p, -z) == pytest.approx(np.conj(char_exponent(p, z)), rel=1e-13)
     assert char_exponent(p, 0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the in-place CMS kernel and the step check
+
+
+def _cms_expression(p, gen, n):
+    """Chambers–Mallows–Stuck written as one numpy expression, a temporary per
+    operation: the bits the in-place kernel must reproduce."""
+    u = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+    if p.alpha == 1.0:
+        return np.tan(u)
+    w = gen.standard_exponential(size=n)
+    a, th = p.alpha, p.theta
+    s = np.sin(a * u - th) / np.cos(u) ** (1.0 / a)
+    t = (np.cos((1.0 - a) * u + th) / w) ** ((1.0 - a) / a)
+    return s * t
+
+
+# alpha 0.5 takes numpy's power fast path for (1-alpha)/alpha = 1, alpha 1 is
+# tan(U); then the symmetric alpha > 1 cases and the one-sided endpoints
+@pytest.mark.parametrize("alpha, rho", [
+    (0.5, 0.5), (1.0, 0.5), (1.2, 0.5), (1.5, 0.5), (1.9, 0.5), (0.7, 0.3),
+    (0.5, 1.0), (0.5, 0.0), (1.5, 1.0 / 1.5), (1.5, 1.0 - 1.0 / 1.5),
+])
+def test_standard_draws_are_the_cms_expression_bit_for_bit(alpha, rho):
+    p = StableParams(alpha, rho)
+    for n in (1, 7, 4099):
+        draws = _standard_draws(p, stream(3, n), n)
+        np.testing.assert_array_equal(draws, _cms_expression(p, stream(3, n), n))
+        assert draws.flags.owndata and draws.flags.writeable
+    # the scaling by dt^(1/alpha), in place, gives the product it replaced
+    dt = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    np.testing.assert_array_equal(
+        sample_increment(p, dt, stream(4)),
+        dt ** (1.0 / alpha) * _cms_expression(p, stream(4), 12).reshape(3, 4))
+    np.testing.assert_array_equal(
+        sample_increment(p, 0.3, stream(5), size=50),
+        np.asarray(0.3) ** (1.0 / alpha) * _cms_expression(p, stream(5), 50))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_sample_increment_rejects_negative_and_non_finite_steps(bad):
+    p = StableParams(1.5, 0.5)
+    with pytest.raises(OutOfRangeError):
+        sample_increment(p, bad, rng=0)
+    with pytest.raises(OutOfRangeError):
+        sample_increment(p, np.array([0.1, bad, 0.2]), rng=0)
+
+
+def test_sample_increment_accepts_empty_and_negative_zero_steps():
+    p = StableParams(1.5, 0.5)
+    assert sample_increment(p, np.empty(0), rng=0).shape == (0,)
+    assert sample_increment(p, np.empty((0, 3)), rng=0).shape == (0, 3)
+    assert sample_increment(p, -0.0, rng=0) == 0.0
+    moves = sample_increment(p, np.array([-0.0, 0.0, 1.0]), rng=0)
+    assert moves[0] == 0.0 and moves[1] == 0.0 and moves[2] != 0.0
 
 
 # ---------------------------------------------------------------------------
