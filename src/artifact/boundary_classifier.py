@@ -46,8 +46,8 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .sigma_model import Composite, LogPower, SigmaFunction
-from .stable_core import OutOfRangeError, Sidedness, StableParams
+from .sigma_model import SigmaFunction
+from .stable_core import Sidedness, StableParams, _admissible_alpha
 
 __all__ = [
     "Domain",
@@ -115,18 +115,6 @@ class FinitenessVerdict:
         }
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if alpha == 2.0:
-        raise OutOfRangeError(
-            "alpha = 2 is the classical diffusive boundary case and is out of "
-            "scope for this classifier"
-        )
-    if not (0.0 < alpha < 2.0):
-        raise OutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
-    return alpha
-
-
 # ---------------------------------------------------------------------------
 # the finiteness path shared by both functionals
 #
@@ -138,25 +126,10 @@ def _check_alpha(alpha: float) -> float:
 # kept apart from e = 1 + d because 1 + d rounds to 1 once |d| < 1.1e-16.
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
+# log x where _tail_rule closes a d == 0 tail; x * x (in PowerTail and
+# LogPower) overflows from x = 1.3e154 = e^354
+_LOG_CUT = 300.0
 _METHODS = ("auto", "analytic_tail", "adaptive_quadrature")
-
-
-def _structural_tail(s: SigmaFunction, positive: bool) -> tuple[float, float] | None:
-    """(theta, q) with sigma ~ |x|^theta (log|x|)^q on the given side, or None
-    when sigma declares no tail there."""
-    if isinstance(s, LogPower):
-        return s.theta, s.q
-    if isinstance(s, Composite):
-        theta = q = 0.0
-        for part in s.parts:
-            tail = _structural_tail(part, positive)
-            if tail is None:
-                return None
-            theta += tail[0]
-            q += tail[1]
-        return theta, q
-    t = s.tail_plus if positive else s.tail_minus
-    return None if t is None else (float(t), 0.0)
 
 
 def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> FinitenessVerdict:
@@ -171,7 +144,7 @@ def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> Fi
     positive = domain == Domain.POS_HALF
     g, head = half(1.0 if positive else -1.0)
     if method != "adaptive_quadrature":
-        structure = _structural_tail(s, positive)
+        structure = s.tail(positive)
         if structure is not None:
             return _tail_rule(g, head, domain, *tail(*structure))
         if method == "analytic_tail":
@@ -181,14 +154,21 @@ def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> Fi
 
 def _tail_rule(g, head, domain: Domain, d: float, m: float, rate: float) -> FinitenessVerdict:
     """x^{-(1+d)} (log x)^{-m} is integrable at infinity iff d > 0, or d == 0
-    and m > 1; a finite integral is then evaluated by quadrature."""
-    if d > 0.0 or (d == 0.0 and m > 1.0):
-        v1, e1 = head()
+    and m > 1; a finite integral is then evaluated by quadrature, at d == 0 in
+    u = log x up to _LOG_CUT and beyond in closed form, as the integrand there
+    is exactly C u^{-m} for every sigma that declares a log power q."""
+    if not (d > 0.0 or (d == 0.0 and m > 1.0)):
+        return FinitenessVerdict("infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate)
+    v1, e1 = head()
+    if d > 0.0:
         v2, e2 = integrate.quad(g, 1.0, np.inf, **_QUAD_KW)
-        return FinitenessVerdict(
-            "finite", domain, Method.ANALYTIC_TAIL, value=v1 + v2, error_estimate=e1 + e2
-        )
-    return FinitenessVerdict("infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate)
+    else:
+        v2, e2 = integrate.quad(lambda u: g(math.exp(u)) * math.exp(u), 0.0, _LOG_CUT, **_QUAD_KW)
+        x = math.exp(_LOG_CUT)
+        v2 += g(x) * x * _LOG_CUT / (m - 1.0)
+    return FinitenessVerdict(
+        "finite", domain, Method.ANALYTIC_TAIL, value=v1 + v2, error_estimate=e1 + e2
+    )
 
 
 def _ladder(g, head, domain: Domain) -> FinitenessVerdict:
@@ -268,7 +248,7 @@ def integral_I(
     "analytic_tail" and "adaptive_quadrature" force one route (the former
     returns undecided when no tail structure exists).
     """
-    alpha = _check_alpha(alpha)
+    alpha = _admissible_alpha(alpha)
 
     def half(sign):
         def g(x):

@@ -80,7 +80,8 @@ def _quad(f, a, b, **kw):
 def _h(p: StableParams, w: float) -> float:
     """h(w) of ``h_function`` for alpha != 1, as a float."""
     a = p.alpha
-    side = math.sin(math.pi * a * p.rho_hat) if w >= 0 else math.sin(math.pi * a * p.rho)
+    up, down = p._jump_weights
+    side = down if w >= 0 else up
     if w == 0.0:
         return 0.0 if side == 0.0 or a > 1.0 else math.inf
     return abs(math.gamma(1.0 - a)) / math.pi * side * abs(w) ** (a - 1.0)

@@ -76,19 +76,17 @@ class AdditiveFunctional:
         return float(self.cumvals[-1])
 
 
-def _alpha_for(path: Path, alpha: float | None) -> float:
-    """alpha from the argument, else from the path."""
-    if alpha is None:
-        alpha = path.alpha
-    if alpha is None:
-        raise OutOfRangeError("alpha is required (not carried by the path)")
-    return float(alpha)
+def _alpha_for(path: Path) -> float:
+    """The alpha the path carries; OutOfRangeError when it carries none."""
+    if path.alpha is None:
+        raise OutOfRangeError("the path carries no alpha")
+    return float(path.alpha)
 
 
-def additive_functional(path: Path, s: SigmaFunction, alpha: float | None = None) -> AdditiveFunctional:
-    """Trapezoid cumulative of sigma(X)^(-alpha) along the path. Exact for
-    constant sigma (sigma == 1 gives A_s = s on the grid)."""
-    f = np.asarray(s(path.values), dtype=float) ** (-_alpha_for(path, alpha))
+def additive_functional(path: Path, s: SigmaFunction) -> AdditiveFunctional:
+    """Trapezoid cumulative of sigma(X)^(-alpha) along the path, alpha being
+    the path's. Exact for constant sigma (sigma == 1 gives A_s = s on the grid)."""
+    f = np.asarray(s(path.values), dtype=float) ** (-_alpha_for(path))
     return AdditiveFunctional(
         path.times.copy(), cumulative_trapezoid(f, path.times, initial=0.0)
     )
@@ -102,9 +100,7 @@ def _plateaued(total, late):
         return np.where(total > 0, late / total, 1.0) < 1e-3
 
 
-def time_change_solve(
-    path: Path, s: SigmaFunction, horizon: float, alpha: float | None = None
-) -> Path:
+def time_change_solve(path: Path, s: SigmaFunction, horizon: float) -> Path:
     """Z on [0, horizon] from the driving path, as samples (A_i, X_i).
 
     If the path's clock already exceeds the horizon the solution is returned
@@ -116,7 +112,7 @@ def time_change_solve(
     """
     if horizon < 0:
         raise OutOfRangeError("horizon must be nonnegative")
-    A = additive_functional(path, s, alpha)
+    A = additive_functional(path, s)
     meta = dict(path.meta, transform="time_change")
     mask, killed_at = A.cumvals <= horizon, None
     if A.final < horizon:
@@ -265,19 +261,19 @@ def _inversion(path: Path, rate: np.ndarray, tag: str) -> Path:
     return _retimed(path, rate, 1.0 / path.values, tag)
 
 
-def spatial_inversion(path: Path, s: SigmaFunction, alpha: float | None = None) -> Path:
+def spatial_inversion(path: Path, s: SigmaFunction) -> Path:
     """Values 1/x at the clock with density beta(x) = sigma(1/x)^{-alpha} |x|^{-2 alpha}.
 
     Swaps the role of the origin and the point at infinity for the
     coefficient sigma.  |x| is clamped at 1e-12 inside beta; an exact zero
     raises HitZeroError.
     """
-    rate = _beta_integrand(s, _alpha_for(path, alpha), path.values)
+    rate = _beta_integrand(s, _alpha_for(path), path.values)
     return _inversion(path, rate, "spatial_inversion")
 
 
-def spatial_inversion_inverse(path: Path, s: SigmaFunction, alpha: float | None = None) -> Path:
+def spatial_inversion_inverse(path: Path, s: SigmaFunction) -> Path:
     """Inverse of spatial_inversion on skeletons: values 1/omega at the clock
     with density 1/beta(1/omega) = sigma(omega)^{alpha} |omega|^{-2 alpha}."""
-    rate = _coinvert_integrand(s, _alpha_for(path, alpha), path.values)
+    rate = _coinvert_integrand(s, _alpha_for(path), path.values)
     return _inversion(path, rate, "spatial_inversion_inverse")

@@ -1,10 +1,11 @@
 """Coefficient functions sigma for the driven equation dZ = sigma(Z-) dX.
 
 A ``SigmaFunction`` is a strictly positive, continuous function of the real
-line together with optional *declared tail exponents*: sigma(x) ~ C |x|^theta
-as x -> +/- infinity.  Declared tails let the boundary classifier decide
-integral finiteness analytically; without them it falls back on adaptive
-quadrature over a growing window and may honestly return "undecided".
+line together with an optional *declared tail* on each side: ``tail`` gives
+(theta, q) with sigma(x) ~ C |x|^theta (log|x|)^q as x -> +/- infinity.
+Declared tails let the boundary classifier decide integral finiteness
+analytically; without them it falls back on adaptive quadrature over a
+growing window and may honestly return "undecided".
 
 Kinds
 -----
@@ -14,9 +15,8 @@ PowerTail(c, theta)
 LogPower(c, theta, q)
     sigma(x) = c (1 + x^2)^{theta/2} (log(e + x^2))^q.  The slowly varying
     log factor means no *bare* power describes the tail to the precision the
-    declared-tail contract demands, so tails are left undeclared; the
-    classifier recognizes the structure and applies the exact boundary rule
-    (the theta = 1 knife edge is decided by q).
+    declared-tail contract demands, so tail_plus/tail_minus are undeclared;
+    ``tail`` gives (theta, q), and q decides the theta = 1 knife edge.
 Tabulated(xs, ys, tail_plus, tail_minus)
     Linear interpolation of strictly positive samples inside [xs[0], xs[-1]],
     matched power extrapolation sigma(x) = y_end (|x|/|x_end|)^theta beyond.
@@ -24,8 +24,8 @@ Tabulated(xs, ys, tail_plus, tail_minus)
     and must be consistent with the data; loading from two-column CSV is
     provided.
 Composite(parts)
-    Pointwise product of component sigma functions.  Tail exponents add when
-    every part declares them, otherwise the composite declares none.
+    Pointwise product of component sigma functions.  Tails add when every
+    part declares them, otherwise the composite declares none.
 
 Evaluation
 ----------
@@ -92,6 +92,11 @@ class SigmaFunction:
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def tail(self, positive: bool) -> tuple[float, float] | None:
+        """(theta, q) of the declared tail as x -> +inf (positive) or -inf, or None."""
+        t = self.tail_plus if positive else self.tail_minus
+        return None if t is None else (float(t), 0.0)
+
     def describe(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -144,6 +149,9 @@ class LogPower(SigmaFunction):
         return self._at(x, np.log(math.e + x * x))
 
     __call__ = _pointwise(_point, _array)
+
+    def tail(self, positive: bool) -> tuple[float, float]:
+        return self.theta, self.q
 
     def describe(self) -> str:
         return f"logpower:c={self.c:g},theta={self.theta:g},q={self.q:g}"
@@ -237,14 +245,10 @@ class Composite(SigmaFunction):
             if not isinstance(part, SigmaFunction):
                 raise TypeError("composite parts must be SigmaFunction instances")
         object.__setattr__(self, "parts", tuple(self.parts))
-        tp = [q.tail_plus for q in self.parts]
-        tm = [q.tail_minus for q in self.parts]
-        object.__setattr__(
-            self, "tail_plus", None if any(v is None for v in tp) else float(sum(tp))
-        )
-        object.__setattr__(
-            self, "tail_minus", None if any(v is None for v in tm) else float(sum(tm))
-        )
+        for name in ("tail_plus", "tail_minus"):
+            tails = [getattr(part, name) for part in self.parts]
+            object.__setattr__(
+                self, name, None if any(v is None for v in tails) else float(sum(tails)))
 
     def _point(self, x):
         return math.prod(part(x) for part in self.parts)
@@ -256,6 +260,16 @@ class Composite(SigmaFunction):
         return out
 
     __call__ = _pointwise(_point, _array)
+
+    def tail(self, positive: bool) -> tuple[float, float] | None:
+        theta = q = 0.0
+        for part in self.parts:
+            t = part.tail(positive)
+            if t is None:
+                return None
+            theta += t[0]
+            q += t[1]
+        return theta, q
 
     def describe(self) -> str:
         return "composite:(" + "*".join(p.describe() for p in self.parts) + ")"

@@ -54,6 +54,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -100,6 +101,15 @@ class Sidedness(Enum):
     SPECTRALLY_NEGATIVE = "spectrally-negative"
 
 
+def _admissible_alpha(alpha) -> float:
+    """alpha as a float if it lies in (0, 2), else OutOfRangeError."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 2.0):
+        diffusive = " (alpha = 2 is the classical diffusive case)" if alpha == 2.0 else ""
+        raise OutOfRangeError(f"alpha must lie in (0, 2), got {alpha}{diffusive}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class StableParams:
     """Validated (alpha, rho) pair; construction performs full validation.
@@ -118,12 +128,7 @@ class StableParams:
         a, r = self.alpha, self.rho
         if not (math.isfinite(a) and math.isfinite(r)):
             raise OutOfRangeError(f"non-finite parameters: alpha={a}, rho={r}")
-        if not (0.0 < a < 2.0):
-            raise OutOfRangeError(
-                f"alpha must lie in (0, 2), got {a}"
-                + (" (the alpha = 2 boundary is the classical diffusive case,"
-                   " outside this family)" if a == 2.0 else "")
-            )
+        _admissible_alpha(a)
         if not (0.0 <= r <= 1.0):
             raise OutOfRangeError(f"rho must lie in [0, 1], got {r}")
         if a == 1.0 and abs(r - 0.5) > _EPS:
@@ -163,6 +168,15 @@ class StableParams:
             return Sidedness.TWO_SIDED
         return Sidedness.TWO_SIDED
 
+    @cached_property
+    def _jump_weights(self) -> tuple[float, float]:
+        """(sin(pi alpha rho), sin(pi alpha rhohat)), the weights of the upward
+        and downward jumps, but exactly 0 on a one-sided driver's jumpless side
+        (where the sine is 0 only up to rounding: sin(pi) = 1.2e-16)."""
+        side, a = self.sidedness, math.pi * self.alpha
+        return (0.0 if side is Sidedness.SPECTRALLY_NEGATIVE else math.sin(a * self.rho),
+                0.0 if side is Sidedness.SPECTRALLY_POSITIVE else math.sin(a * self.rho_hat))
+
     @property
     def is_monotone(self) -> bool:
         """True for the increasing/decreasing members (alpha < 1, rho in {0,1})."""
@@ -191,9 +205,8 @@ def levy_density(p: StableParams, x):
     if np.any(x == 0.0):
         raise DomainError("Levy density is not defined at x = 0")
     g = math.gamma(1.0 + p.alpha) / math.pi
-    cplus = g * math.sin(math.pi * p.alpha * p.rho)
-    cminus = g * math.sin(math.pi * p.alpha * p.rho_hat)
-    out = np.where(x > 0, cplus, cminus) * np.abs(x) ** (-1.0 - p.alpha)
+    up, down = p._jump_weights
+    out = np.where(x > 0, g * up, g * down) * np.abs(x) ** (-1.0 - p.alpha)
     if out.ndim == 0:
         return float(out)
     return out

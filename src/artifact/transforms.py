@@ -75,6 +75,22 @@ class ExponentKind(Enum):
     CENSORED_CIRC = "censored_circ"
 
 
+# kind -> (sign, the numerator and denominator gamma arguments as a function of
+# alpha, a = alpha rho, ahat = alpha rhohat and w = -iz)
+_GAMMA_ARGS = {
+    ExponentKind.CENSORED: (1.0, lambda al, a, ahat, w: ((a + w, 1.0 - a - w), (w, 1.0 - al - w))),
+    ExponentKind.RADIAL: (1.0, lambda al, a, ahat, w: (((al + w) / 2.0, (1.0 - w) / 2.0),
+                                                       (w / 2.0, (1.0 - al - w) / 2.0))),
+    ExponentKind.COND_POSITIVE: (
+        1.0, lambda al, a, ahat, w: ((a + w, 1.0 + ahat - w), (w, 1.0 - w))),
+    ExponentKind.CENSORED_CIRC: (
+        1.0, lambda al, a, ahat, w: ((1.0 - a + w, a - w), (1.0 - al + w, -w))),
+    # iz = -w and Gamma(1 + w) = w Gamma(w)
+    ExponentKind.DAGGER_SPEC_POS: (-1.0, lambda al, a, ahat, w: ((al + w,), (w,))),
+    ExponentKind.HAT_UPARROW: (-1.0, lambda al, a, ahat, w: ((al - w,), (-w,))),
+}
+
+
 @dataclass(frozen=True)
 class LevyExponent:
     """Characteristic exponent of one of the transform-related Levy processes.
@@ -117,44 +133,20 @@ class LevyExponent:
                     f"{k.value} exponent needs two-sided jumps with alpha*rho < 1 "
                     f"(got alpha*rho = {a})"
                 )
-        if k is ExponentKind.CENSORED_CIRC and not (1.0 < p.alpha < 2.0):
+        spec_pos = k in (ExponentKind.DAGGER_SPEC_POS, ExponentKind.HAT_UPARROW)
+        if (spec_pos or k is ExponentKind.CENSORED_CIRC) and not (1.0 < p.alpha < 2.0):
             raise OutOfRangeError(f"{k.value} exponent needs alpha in (1,2)")
         if k is ExponentKind.RADIAL and abs(p.rho - 0.5) > 1e-12:
             raise InconsistentRhoError(
                 "radial part is Markov only for the symmetric driver (rho = 1/2)"
             )
-        if k in (ExponentKind.DAGGER_SPEC_POS, ExponentKind.HAT_UPARROW):
-            if not (1.0 < p.alpha < 2.0):
-                raise OutOfRangeError(f"{k.value} exponent needs alpha in (1,2)")
-            if p.sidedness is not Sidedness.SPECTRALLY_POSITIVE:
-                raise InconsistentRhoError(
-                    f"{k.value} exponent belongs to the spectrally positive branch "
-                    f"(rho = 1 - 1/alpha)"
-                )
+        if spec_pos and p.sidedness is not Sidedness.SPECTRALLY_POSITIVE:
+            raise InconsistentRhoError(
+                f"{k.value} exponent belongs to the spectrally positive branch "
+                f"(rho = 1 - 1/alpha)"
+            )
         if k is ExponentKind.COND_POSITIVE and not (0.0 < p.rho):
             raise InconsistentRhoError("conditioning to stay positive needs rho > 0")
-
-    # sign and numerator/denominator gamma arguments as functions of w = -iz
-    def _gamma_args(self, w):
-        p = self.params
-        al = p.alpha
-        a = al * p.rho
-        ahat = al * p.rho_hat
-        k = self.kind
-        if k is ExponentKind.CENSORED:
-            return 1.0, (a + w, 1.0 - a - w), (w, 1.0 - al - w)
-        if k is ExponentKind.RADIAL:
-            return 1.0, ((al + w) / 2.0, (1.0 - w) / 2.0), (w / 2.0, (1.0 - al - w) / 2.0)
-        if k is ExponentKind.COND_POSITIVE:
-            return 1.0, (a + w, 1.0 + ahat - w), (w, 1.0 - w)
-        if k is ExponentKind.CENSORED_CIRC:
-            return 1.0, (1.0 - a + w, a - w), (1.0 - al + w, -w)
-        # iz = -w and Gamma(1 + w) = w Gamma(w)
-        if k is ExponentKind.DAGGER_SPEC_POS:
-            return -1.0, (al + w,), (w,)
-        if k is ExponentKind.HAT_UPARROW:
-            return -1.0, (al - w,), (-w,)
-        raise AssertionError(k)
 
     def eval(self, z):
         """Psi(z) for real (or, for analytic continuation, complex) z.
@@ -166,7 +158,9 @@ class LevyExponent:
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        sign, nums, dens = self._gamma_args(-1j * z)
+        p = self.params
+        sign, args = _GAMMA_ARGS[self.kind]
+        nums, dens = args(p.alpha, p.alpha * p.rho, p.alpha * p.rho_hat, -1j * z)
         num_pole = np.zeros(z.shape, dtype=bool)
         for arg in nums:
             num_pole |= _is_nonpositive_integer(arg)

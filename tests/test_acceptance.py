@@ -276,8 +276,8 @@ def test_criterion_08_path_transform_round_trips():
 
     # (b) spatial inversion o co-inversion
     xpath = sample_path(p, 2.0, 3.0, step=1e-3, rng=3)
-    y = spatial_inversion(xpath, s, alpha=p.alpha)
-    xr = spatial_inversion_inverse(y, s, alpha=p.alpha)
+    y = spatial_inversion(xpath, s)
+    xr = spatial_inversion_inverse(y, s)
     val_dev_b = float(np.max(np.abs(xr.values - xpath.values)))
     w2b = _two_step_modulus(np.log(np.abs(xpath.values)))
     bound_b = xpath.times[-1] * math.sinh(p.alpha * w2b / 2.0) ** 2
@@ -285,8 +285,8 @@ def test_criterion_08_path_transform_round_trips():
 
     # (c) exact value-multiset preservation under time change
     drv = sample_path(p, 0.0, 2.0, step=1e-3, rng=11)
-    clock = additive_functional(drv, s, alpha=p.alpha)
-    z = time_change_solve(drv, s, horizon=clock.final / 2.0, alpha=p.alpha)
+    clock = additive_functional(drv, s)
+    z = time_change_solve(drv, s, horizon=clock.final / 2.0)
     multiset_exact = np.array_equal(np.sort(z.values), np.sort(drv.values[: len(z)]))
 
     ok = (val_dev_a <= 1e-12 and time_dev_a <= bound_a

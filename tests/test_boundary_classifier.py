@@ -4,9 +4,12 @@ power-tail exponent, and the report schema."""
 
 import json
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from artifact import (
     Composite,
@@ -277,3 +280,67 @@ def test_classify_calls_sigma_on_points_only(monkeypatch):
     want = [classify(p, s, method).to_json() for p, s, method in cases]
     monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
     assert [classify(p, s, method).to_json() for p, s, method in cases] == want
+
+
+def _mp_log_sigma(parts, u):
+    """(theta, r) with log sigma(e^u) = theta u + r, sigma the product of the
+    LogPower(c, theta, q) parts, in mpmath and without forming e^u; theta u
+    is kept apart so that it cancels exactly against the x^alpha factor."""
+    theta, r = 0, 0
+    for part in parts:
+        c, th, q = (mpmath.mpf(v) for v in part)
+        theta += th
+        far = u > 100  # the log1p terms are below e^-200 there
+        r += (mpmath.log(c) + th / 2 * (0 if far else mpmath.log1p(mpmath.exp(-2 * u)))
+              + q * mpmath.log(2 * u + (0 if far else mpmath.log1p(mpmath.exp(1 - 2 * u)))))
+    return theta, r
+
+
+def _mp_half_line(f):
+    """int_0^inf f(u) du for f ~ u^-m; beyond u = 20 in u = 20 e^s, where
+    the tail decays exponentially (its mass beyond s = 400 is nil)."""
+    beyond = mpmath.quad(lambda t: f(20 * mpmath.exp(t)) * 20 * mpmath.exp(t), [0, 1, 10, 100, 400])
+    return mpmath.quad(f, [0, 1, 20]) + beyond
+
+
+def _mp_I_half(parts, alpha):
+    a = mpmath.mpf(alpha)
+
+    def sigma(x):
+        return mpmath.fprod(c * (1 + x * x) ** (mpmath.mpf(th) / 2)
+                            * mpmath.log(mpmath.e + x * x) ** q for c, th, q in parts)
+
+    def tail(u):  # sigma(x)^-alpha x^alpha at x = e^u
+        theta, r = _mp_log_sigma(parts, u)
+        return mpmath.exp(a * (1 - theta) * u - a * r)
+
+    return mpmath.quad(lambda v: sigma(v ** (1 / a)) ** -a / a, [0, 1]) + _mp_half_line(tail)
+
+
+def _mp_log_half(parts):
+    def tail(u):  # log(x) / sigma(x) * x at x = e^u
+        theta, r = _mp_log_sigma(parts, u)
+        return u * mpmath.exp((1 - theta) * u - r)
+
+    return _mp_half_line(tail)
+
+
+def test_tail_finite_only_through_its_log_matches_mpmath(monkeypatch):
+    # d == 0, m > 1: sigma ~ x (log x)^q makes the integrand C / (x (log x)^m),
+    # whose mass lies out at x = e^100 and beyond, where quad on [1, inf) hits
+    # its subdivision limit; the value must agree with an independent mpmath
+    # one, within error_estimate, with sigma still called on floats only
+    power = ((1.0, 1.0, 2.5),)  # I at alpha 0.5: m = alpha q = 1.25
+    product = ((1.0, 0.5, 2.0), (0.8, 0.5, 1.2))  # log test: q = 3.2, m = 2.2
+    with mpmath.workdps(30):
+        want_i = float(_mp_I_half(power, 0.5))
+        want_log = float(2 * _mp_log_half(product))
+    monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        got_i = integral_I(LogPower(*power[0]), 0.5, Domain.POS_HALF)
+        got_log = integral_log(Composite(tuple(LogPower(*part) for part in product)))
+    for got, want in ((got_i, want_i), (got_log, want_log)):
+        assert got.finite and got.method.value == "analytic_tail"
+        assert got.value == pytest.approx(want, rel=1e-6)
+        assert abs(got.value - want) <= got.error_estimate

@@ -43,7 +43,7 @@ from artifact.stable_core import _standard_draws, stream
 def test_additive_functional_constant_sigma_exact():
     # sigma = 2: A(s) = 2^-alpha s exactly (trapezoid is exact on constants)
     x = sample_path(StableParams(0.5, 0.5), 0.0, 3.0, step=1e-2, rng=1)
-    af = additive_functional(x, PowerTail(c=2.0, theta=0.0), alpha=0.5)
+    af = additive_functional(x, PowerTail(c=2.0, theta=0.0))
     np.testing.assert_allclose(af.cumvals, 2.0 ** -0.5 * x.times, rtol=1e-12)
     assert af.final == pytest.approx(2.0 ** -0.5 * 3.0)
 
@@ -59,8 +59,8 @@ def test_clock_scale_covariance():
     # sigma -> 2 sigma divides the clock by 2^alpha, exactly, per sample
     p = StableParams(0.5, 0.5)
     x = sample_path(p, 0.0, 2.0, step=1e-2, rng=3)
-    a1 = additive_functional(x, PowerTail(c=1.0, theta=2.0), alpha=p.alpha)
-    a2 = additive_functional(x, PowerTail(c=2.0, theta=2.0), alpha=p.alpha)
+    a1 = additive_functional(x, PowerTail(c=1.0, theta=2.0))
+    a2 = additive_functional(x, PowerTail(c=2.0, theta=2.0))
     np.testing.assert_allclose(a2.cumvals, 2.0 ** -p.alpha * a1.cumvals, rtol=1e-12)
 
 
@@ -72,8 +72,8 @@ def test_time_change_preserves_value_multiset_on_prefix():
     p = StableParams(1.5, 0.5)
     s = PowerTail(c=1.0, theta=2.0)
     x = sample_path(p, 0.0, 2.0, step=1e-3, rng=11)
-    af = additive_functional(x, s, alpha=p.alpha)
-    z = time_change_solve(x, s, horizon=af.final / 2.0, alpha=p.alpha)
+    af = additive_functional(x, s)
+    z = time_change_solve(x, s, horizon=af.final / 2.0)
     n = len(z)
     # the solution is the driver's value sequence carried onto the new clock
     np.testing.assert_array_equal(z.values, x.values[:n])
@@ -87,7 +87,7 @@ def test_time_change_exhausted_driver_raises():
     s = PowerTail(c=1.0, theta=0.0)  # sigma = 1: clock = driver time
     x = sample_path(p, 0.0, 1.0, step=1e-3, rng=5)
     with pytest.raises(ExhaustedPathError):
-        time_change_solve(x, s, horizon=2.0, alpha=p.alpha)
+        time_change_solve(x, s, horizon=2.0)
 
 
 def test_time_change_detects_explosion_with_plateaued_clock():
@@ -95,11 +95,11 @@ def test_time_change_detects_explosion_with_plateaued_clock():
     s = PowerTail(c=1.0, theta=2.0)
     ts = _explosion_grid(1e6, 5e-3, 1.04)
     x = sample_path_at(p, 0.0, ts, rng=7)
-    z = time_change_solve(x, s, horizon=1e9, alpha=p.alpha)
+    z = time_change_solve(x, s, horizon=1e9)
     assert z.killed_at is not None
     assert z.meta.get("exploded") is True
     assert z.times[-1] <= z.killed_at
-    af = additive_functional(x, s, alpha=p.alpha)
+    af = additive_functional(x, s)
     assert z.killed_at == pytest.approx(af.final, rel=1e-12)
 
 
@@ -222,18 +222,18 @@ def test_spatial_inversion_round_trip():
     p = StableParams(1.5, 0.5)
     s = PowerTail(c=1.0, theta=2.0)
     x = sample_path(p, 2.0, 3.0, step=1e-3, rng=3)
-    y = spatial_inversion(x, s, alpha=p.alpha)
+    y = spatial_inversion(x, s)
     np.testing.assert_allclose(y.values, 1.0 / x.values, rtol=1e-14)
-    back = spatial_inversion_inverse(y, s, alpha=p.alpha)
+    back = spatial_inversion_inverse(y, s)
     np.testing.assert_allclose(back.values, x.values, rtol=1e-12)
     # the time axis round-trips through two trapezoid passes: small, not exact
     assert np.max(np.abs(back.times - x.times)) < 0.1 * x.times[-1]
 
 
 def test_spatial_inversion_rejects_zero_crossing():
-    path = Path(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 2.0]))
+    path = Path(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 2.0]), alpha=1.5)
     with pytest.raises(HitZeroError):
-        spatial_inversion(path, PowerTail(c=1.0, theta=0.0), alpha=1.5)
+        spatial_inversion(path, PowerTail(c=1.0, theta=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_time_change_law_matches_euler_scheme():
         for _ in range(8):
             x = sample_path(p, 0.0, horizon, step=horizon * 1e-3, rng=100 + i)
             try:
-                z = time_change_solve(x, s, horizon=t_end, alpha=p.alpha)
+                z = time_change_solve(x, s, horizon=t_end)
                 break
             except ExhaustedPathError:
                 horizon *= 4.0

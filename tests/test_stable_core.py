@@ -121,6 +121,61 @@ def test_levy_density_tail_mass_and_sampler_tail(alpha, rho, far):
     assert abs(hits / n - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n), (hits, want * n)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.001, 1.3, 1.999])
+def test_levy_density_is_zero_on_the_side_without_jumps(alpha):
+    # at alpha > 1 the jumpless side has alpha rho = 1 (or alpha rhohat = 1),
+    # where sin(pi) would leave a rounding error of either sign
+    up, down = (1.0, 0.0) if alpha < 1 else (1.0 - 1.0 / alpha, 1.0 / alpha)
+    for rho, jumpless, other in ((up, -1.0, 1.0), (down, 1.0, -1.0)):
+        p = StableParams(alpha, rho)
+        assert levy_density(p, jumpless * np.array([0.5, 1.0, 7.0])).tolist() == [0.0] * 3
+        assert levy_density(p, other) > 0.0
+    two = StableParams(alpha, 0.5)
+    assert levy_density(two, 1.0) == (
+        math.gamma(1.0 + alpha) / math.pi * math.sin(math.pi * alpha * 0.5))
+
+
+def _extreme_cases():
+    for alpha in (0.05, 0.999, 1.001, 1.999):
+        ends = (1.0, 0.0) if alpha < 1 else (1.0 - 1.0 / alpha, 1.0 / alpha)
+        for rho in (0.5,) + ends:
+            yield alpha, rho
+
+
+@pytest.mark.parametrize("alpha, rho", list(_extreme_cases()))
+def test_sampler_at_the_extremes_is_finite_and_in_law(alpha, rho):
+    # 10^6 draws of X_1 near alpha = 0, 1 and 2, two-sided and at both
+    # one-sided ends.  On a side with jumps, the cut y is where the Levy tail
+    # Pi(y, inf) = pi(1) y^-alpha / alpha expects 1,000 draws; P(X_1 > y)
+    # matches it as a binomial once the next term of the tail's expansion,
+    # Gamma(2 alpha) cos(pi alpha rho) / Gamma(alpha) y^-alpha relative to the
+    # first, is below 1 %.  Where the jump weight is near 0 (alpha = 0.999
+    # and 1.001 one-sided, alpha = 1.999) that cut lies in the bulk at 10^6
+    # draws, so only finiteness and the jumpless side are checked there.
+    p = StableParams(alpha, rho)
+    n, expected = 1_000_000, 1000.0
+    x = sample_increment(p, 1.0, rng=17, size=n)
+    assert np.all(np.isfinite(x))
+    cuts = {}
+    for sign, r in ((1.0, rho), (-1.0, 1.0 - rho)):
+        weight = levy_density(p, sign)
+        if weight == 0.0:
+            continue
+        y = (n * weight / (alpha * expected)) ** (1.0 / alpha)
+        cuts[sign] = y
+        second = math.gamma(2 * alpha) * math.cos(math.pi * alpha * r) / math.gamma(alpha)
+        if abs(second) * y ** -alpha <= 0.01:
+            hits = int(np.sum(sign * x > y))
+            assert abs(hits - expected) <= 4.0 * math.sqrt(expected), (sign, y, hits)
+    for sign in (1.0, -1.0):
+        if sign in cuts:
+            continue
+        # no jumps on this side: below alpha = 1 no draw at all; above it
+        # the tail is lighter than exp(-c |x|^2), under 1e-12 beyond 10
+        cut = 0.0 if alpha < 1 else max(cuts[-sign], 10.0)
+        assert not np.any(sign * x > cut), (sign, cut, float(np.max(sign * x)))
+
+
 def test_subordinator_branch_is_positive_and_kanter_laplace():
     # rho = 1, alpha < 1: one-sided increasing.  In this normalization
     # Psi(z) = z^alpha e^{-i pi alpha/2} for z > 0, which continues to the
