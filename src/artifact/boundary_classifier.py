@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .sigma_model import SigmaFunction
 from .stable_core import Sidedness, StableParams, _admissible_alpha
@@ -126,8 +126,10 @@ class FinitenessVerdict:
 # kept apart from e = 1 + d because 1 + d rounds to 1 once |d| < 1.1e-16.
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
-# log x where _tail_rule closes a d == 0 tail; x * x (in PowerTail and
-# LogPower) overflows from x = 1.3e154 = e^354
+# the largest log x at which _tail_rule closes a tail in closed form: from log
+# x = 21 on, every kind's integrand is its declared tail in float (1 + x*x ==
+# x*x, log(e + x*x) == 2 log x), and sigma ~ x^theta overflows from theta log
+# x = 709.8, so a tail with theta > 2 is cut at 600/theta
 _LOG_CUT = 300.0
 _METHODS = ("auto", "analytic_tail", "adaptive_quadrature")
 
@@ -146,26 +148,27 @@ def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> Fi
     if method != "adaptive_quadrature":
         structure = s.tail(positive)
         if structure is not None:
-            return _tail_rule(g, head, domain, *tail(*structure))
+            return _tail_rule(g, head, domain, structure[0], *tail(*structure))
         if method == "analytic_tail":
             return FinitenessVerdict("undecided", domain, Method.ANALYTIC_TAIL)
     return _ladder(g, head, domain)
 
 
-def _tail_rule(g, head, domain: Domain, d: float, m: float, rate: float) -> FinitenessVerdict:
+def _tail_rule(g, head, domain: Domain, theta, d, m, rate) -> FinitenessVerdict:
     """x^{-(1+d)} (log x)^{-m} is integrable at infinity iff d > 0, or d == 0
-    and m > 1; a finite integral is then evaluated by quadrature, at d == 0 in
-    u = log x up to _LOG_CUT and beyond in closed form, as the integrand there
-    is exactly C u^{-m} for every sigma that declares a log power q."""
+    and m > 1.  One rule then serves every declared tail: quadrature in u =
+    log x up to L, and beyond it, where the integrand is C e^{-du} u^{-m},
+    int_L^inf = g(e^L) e^L L U(1, 2-m, dL) (DLMF 13.4.4 with u = L(1+t)),
+    which is g(e^L) e^L L/(m-1) at d == 0.  A finite tail has theta >= 1, L =
+    min(_LOG_CUT, 600/theta) keeps sigma(e^L) finite, and a table must end
+    below e^L."""
     if not (d > 0.0 or (d == 0.0 and m > 1.0)):
         return FinitenessVerdict("infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate)
+    cut = min(_LOG_CUT, 600.0 / theta)
     v1, e1 = head()
-    if d > 0.0:
-        v2, e2 = integrate.quad(g, 1.0, np.inf, **_QUAD_KW)
-    else:
-        v2, e2 = integrate.quad(lambda u: g(math.exp(u)) * math.exp(u), 0.0, _LOG_CUT, **_QUAD_KW)
-        x = math.exp(_LOG_CUT)
-        v2 += g(x) * x * _LOG_CUT / (m - 1.0)
+    v2, e2 = integrate.quad(lambda u: g(math.exp(u)) * math.exp(u), 0.0, cut, **_QUAD_KW)
+    x = math.exp(cut)
+    v2 += g(x) * x * cut * float(special.hyperu(1.0, 2.0 - m, d * cut))
     return FinitenessVerdict(
         "finite", domain, Method.ANALYTIC_TAIL, value=v1 + v2, error_estimate=e1 + e2
     )
@@ -248,20 +251,22 @@ def integral_I(
     "analytic_tail" and "adaptive_quadrature" force one route (the former
     returns undecided when no tail structure exists).
     """
+    return _integral_I(s, alpha, domain, method, 0.0)
+
+
+def _integral_I(s: SigmaFunction, alpha, domain: Domain, method, x0) -> FinitenessVerdict:
+    """integral_I counted from x0: the verdict for int sigma(x0 + w)^{-alpha}
+    |w|^{alpha-1} dw over w in domain, whose finiteness does not depend on x0."""
     alpha = _admissible_alpha(alpha)
 
     def half(sign):
-        def g(x):
-            return s(sign * x) ** (-alpha) * x ** (alpha - 1.0)
+        def g(w):
+            return s(x0 + sign * w) ** (-alpha) * w ** (alpha - 1.0)
 
         def head():
-            # u = x^alpha removes the x^{alpha-1} endpoint singularity
-            return integrate.quad(
-                lambda u: s(sign * u ** (1.0 / alpha)) ** (-alpha) / alpha,
-                0.0,
-                1.0,
-                **_QUAD_KW,
-            )
+            # u = w^alpha removes the w^{alpha-1} endpoint singularity
+            return integrate.quad(lambda u: s(x0 + sign * u ** (1.0 / alpha)) ** (-alpha) / alpha,
+                                  0.0, 1.0, **_QUAD_KW)
 
         return g, head
 

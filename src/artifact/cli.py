@@ -231,7 +231,7 @@ _ORACLES = {
         LevyExponent(p, ExponentKind(ns.kind)).eval(complex(ns.z)))),
     "exponent_mean": (("kind",), lambda ns, p: {
         "value": mean_at_one(LevyExponent(p, ExponentKind(ns.kind))),
-        "abs_error_estimate": 1e-9}),
+        "abs_error_estimate": 0.0}),
     "esscher_zero": ((), lambda ns, p: _complex(esscher_zero_check(p))),
 }
 

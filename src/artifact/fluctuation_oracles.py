@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .boundary_classifier import _REACH, UndecidedIntegralError, integral_I
+from .boundary_classifier import Domain, UndecidedIntegralError, _integral_I
 from .sigma_model import SigmaFunction
 from .stable_core import DomainError, OutOfRangeError, Sidedness, StableParams
 
@@ -62,15 +62,6 @@ class OracleResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-_QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
-
-
-def _quad(f, a, b, **kw):
-    opts = dict(_QUAD_KW)
-    opts.update(kw)
-    return integrate.quad(f, a, b, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +350,30 @@ def cauchy_killed_potential(s: SigmaFunction, x: float, y: float) -> OracleResul
 def expected_explosion_time(p: StableParams, s: SigmaFunction, x0: float) -> OracleResult:
     """E_{x0}[ T ] for the explosion time T of dZ = sigma(Z-) dX, alpha < 1.
 
-        E_{x0}[T] = int_R sigma(y)^{-alpha} h(x0 - y) dy,
+        E_{x0}[T] = int_R sigma(y)^{-alpha} h(x0 - y) dy
+                  = sum_{side = +-1} h(side) int_0^inf sigma(x0 - side w)^{-alpha} w^{alpha-1} dw,
 
-    finite exactly when the explosion integral I(sigma, alpha; domain of the
-    reachable boundary) is finite; returns value +inf otherwise.
+    each half-line integral the classifier's, counted from x0; a side that h
+    does not weight (no jumps towards it) is skipped.  The value is +inf when
+    a weighted half is infinite; for a sigma with no declared tail it is the
+    quadrature ladder's, good to its 1e-4 gate.
     """
     if p.alpha >= 1.0:
         raise OutOfRangeError("explosion requires alpha < 1")
     x0 = float(x0)
-    a = p.alpha
-    verdict = integral_I(s, a, _REACH[p.sidedness][1])
-    if not verdict.decided:
+    # side +1 is below the start (y = x0 - w), side -1 above
+    halves = [(h, _integral_I(s, p.alpha, domain, "auto", x0))
+              for h, domain in ((_h(p, 1.0), Domain.NEG_HALF), (_h(p, -1.0), Domain.POS_HALF))
+              if h > 0.0]
+    statuses = {v.status for _, v in halves}
+    if "infinite" in statuses:
+        return OracleResult(math.inf, 0.0)
+    if "undecided" in statuses:
         raise UndecidedIntegralError(
             "cannot certify finiteness of the explosion integral for this sigma"
         )
-    if not verdict.finite:
-        return OracleResult(math.inf, 0.0)
-
-    total, err = 0.0, 0.0
-    # side +1 is below the start (w = x0 - y > 0), side -1 above; h(side) is
-    # the weight of that side, and u = |w|^alpha near the singularity
-    for side, far in ((1.0, (-np.inf, x0 - 1.0)), (-1.0, (x0 + 1.0, np.inf))):
-        weight = _h(p, side)
-        if weight > 0.0:
-            v1, e1 = _quad(lambda u: s(x0 - side * u ** (1.0 / a)) ** (-a) / a, 0.0, 1.0)
-            v2, e2 = _quad(lambda y: s(y) ** (-a) * (side * (x0 - y)) ** (a - 1.0), *far)
-            total += weight * (v1 + v2)
-            err += weight * (e1 + e2)
-    return OracleResult(total, err)
+    return OracleResult(sum(h * v.value for h, v in halves),
+                        sum(h * v.error_estimate for h, v in halves))
 
 
 # ---------------------------------------------------------------------------

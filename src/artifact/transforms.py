@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import gamma, loggamma, rgamma
 
 from .stable_core import (
     InconsistentRhoError,
@@ -187,20 +187,20 @@ class LevyExponent:
 
 
 def mean_at_one(e: LevyExponent) -> float:
-    """E[xi_1] = Re( i Psi'(0) ), by central differences with one Richardson step.
+    """E[xi_1] = Re( i Psi'(0) ) = dPsi/dw at w = -iz = 0, in closed form.
 
-    Psi'(0) is approximated by D(h) = (Psi(h) - Psi(-h)) / 2h at h = 1e-5
-    and refined as (4 D(h/2) - D(h)) / 3.
+    Psi(0) = 0 through one denominator argument k w, and 1/Gamma(k w) = k w +
+    O(w^2), so E[xi_1] = sign k prod Gamma(nums(0)) / prod Gamma(other
+    dens(0)), which is 0 where a second one vanishes too (alpha = 1).
     """
-    h = 1e-5
-
-    def central(hh):
-        return (e.eval(hh) - e.eval(-hh)) / (2.0 * hh)
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    deriv = (4.0 * d2 - d1) / 3.0
-    return float((1j * deriv).real)
+    p = e.params
+    sign, args = _GAMMA_ARGS[e.kind]
+    at = lambda w: args(p.alpha, p.alpha * p.rho, p.alpha * p.rho_hat, w)
+    nums, dens = at(0.0)
+    i = dens.index(0.0)
+    k = at(1.0)[1][i]  # every argument is linear in w
+    others = dens[:i] + dens[i + 1:]
+    return float(sign * k * np.prod(gamma(nums)) * np.prod(rgamma(others)))
 
 
 def esscher_zero_check(p: StableParams, at: complex | None = None) -> float:

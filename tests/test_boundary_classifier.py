@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
 from artifact import (
@@ -126,6 +127,18 @@ def test_integral_value_hand_check():
     want, _ = integrate.quad(lambda x: (1 + x * x) ** -0.5 * x ** -0.5, 0, np.inf)
     got = integral_I(PowerTail(c=1.0, theta=2.0), 0.5, Domain.POS_HALF)
     assert got.value == pytest.approx(want, rel=1e-8)
+    # in general int_0^inf (1 + x^2)^(-alpha theta/2) x^(alpha-1) dx is
+    # B(alpha/2, alpha (theta-1)/2) / 2.  sigma(e^u) ~ e^(theta u) overflows
+    # once theta u > 709.8, which the tail rule's cut must stay below: no
+    # warning of any kind may arise
+    for alpha in (0.2, 1.5):
+        for theta in (1.5, 3.0, 30.0, 100.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = integral_I(PowerTail(c=1.0, theta=theta), alpha, Domain.POS_HALF)
+            want = special.beta(alpha / 2, alpha * (theta - 1.0) / 2) / 2
+            assert got.value == pytest.approx(want, rel=1e-12), (alpha, theta)
+            assert abs(got.value - want) <= got.error_estimate, (alpha, theta)
 
 
 def test_integral_scale_covariance():
@@ -328,19 +341,25 @@ def _mp_log_half(parts):
 def test_tail_finite_only_through_its_log_matches_mpmath(monkeypatch):
     # d == 0, m > 1: sigma ~ x (log x)^q makes the integrand C / (x (log x)^m),
     # whose mass lies out at x = e^100 and beyond, where quad on [1, inf) hits
-    # its subdivision limit; the value must agree with an independent mpmath
+    # its subdivision limit.  A slow d > 0 tail (d = 5e-4) spreads its mass
+    # as far, out to x = e^2000; the third row is a log-modified one from the
+    # quadrature benchmark.  Each value must agree with an independent mpmath
     # one, within error_estimate, with sigma still called on floats only
-    power = ((1.0, 1.0, 2.5),)  # I at alpha 0.5: m = alpha q = 1.25
+    powers = [  # (LogPower args, alpha); m = alpha q, d = alpha (theta - 1)
+        ((1.0, 1.0, 2.5), 0.5),  # d = 0, m = 1.25
+        ((1.0, 1.001, 2.0), 0.5),  # d = 5e-4, m = 1
+        ((0.923173, 1.26606, -0.31203), 0.401),  # d = 0.107, m = -0.125
+    ]
     product = ((1.0, 0.5, 2.0), (0.8, 0.5, 1.2))  # log test: q = 3.2, m = 2.2
     with mpmath.workdps(30):
-        want_i = float(_mp_I_half(power, 0.5))
-        want_log = float(2 * _mp_log_half(product))
+        wants = [float(_mp_I_half((part,), alpha)) for part, alpha in powers]
+        wants.append(float(2 * _mp_log_half(product)))
     monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        got_i = integral_I(LogPower(*power[0]), 0.5, Domain.POS_HALF)
-        got_log = integral_log(Composite(tuple(LogPower(*part) for part in product)))
-    for got, want in ((got_i, want_i), (got_log, want_log)):
+        gots = [integral_I(LogPower(*part), alpha, Domain.POS_HALF) for part, alpha in powers]
+        gots.append(integral_log(Composite(tuple(LogPower(*part) for part in product))))
+    for got, want in zip(gots, wants):
         assert got.finite and got.method.value == "analytic_tail"
         assert got.value == pytest.approx(want, rel=1e-6)
         assert abs(got.value - want) <= got.error_estimate

@@ -158,7 +158,7 @@ def _complex_payload(val: complex) -> dict:
      lambda p: _complex_payload(LevyExponent(p, ExponentKind.CENSORED).eval(0.7 + 0j))),
     ("exponent_mean", (1.5, 0.5), ("--kind", "cond_positive"), lambda p: {
         "value": mean_at_one(LevyExponent(p, ExponentKind.COND_POSITIVE)),
-        "abs_error_estimate": 1e-9}),
+        "abs_error_estimate": 0.0}),
     ("esscher_zero", (1.5, 0.5), (), lambda p: _complex_payload(esscher_zero_check(p))),
 ])
 def test_oracle_eval_payload_is_the_library_call(capsys, name, alpha_rho, flags, want):

@@ -231,6 +231,22 @@ def test_expected_explosion_time_frozen_quadrature():
     assert res.abs_error_estimate < 1e-6
 
 
+@pytest.mark.parametrize("rho, side", [(1.0, 1), (0.0, -1)])
+def test_expected_explosion_time_one_sided_from_x0(rho, side):
+    # an increasing driver (rho = 1) weights only y above x0, a decreasing
+    # one only y below; h(side w) = w^(alpha-1)/Gamma(alpha) on the weighted
+    # side, so E[T] = (1/Gamma(alpha)) int_0^inf sigma(x0 + side w)^-alpha
+    # w^(alpha-1) dw, here with sigma(y)^-alpha = (1 + y^2)^(-1/2)
+    a, x0 = 0.5, 0.3
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(lambda w: (1 + (x0 + side * w) ** 2) ** -a * w ** (a - 1),
+                                 [0, 1, mpmath.inf]) / mpmath.gamma(a))
+    assert want == pytest.approx(1.9307959746848084 if side > 0 else 2.2084112282136451,
+                                 rel=1e-15)
+    res = expected_explosion_time(StableParams(a, rho), parse_sigma_spec("power:c=1,theta=2"), x0)
+    assert res.value == pytest.approx(want, rel=1e-12)
+
+
 def test_expected_explosion_time_sigma_scaling():
     # sigma -> 2 sigma scales E[T] by 2^-alpha
     p = StableParams(0.5, 0.5)

@@ -64,8 +64,8 @@ def test_dagger_and_hat_means():
     a = 1.5
     p = StableParams(a, 1.0 - 1.0 / a)
     g = special.gamma(a)
-    assert mean_at_one(LevyExponent(p, ExponentKind.DAGGER_SPEC_POS)) == pytest.approx(-g, rel=1e-6)
-    assert mean_at_one(LevyExponent(p, ExponentKind.HAT_UPARROW)) == pytest.approx(+g, rel=1e-6)
+    assert mean_at_one(LevyExponent(p, ExponentKind.DAGGER_SPEC_POS)) == pytest.approx(-g, rel=1e-12)
+    assert mean_at_one(LevyExponent(p, ExponentKind.HAT_UPARROW)) == pytest.approx(+g, rel=1e-12)
 
 
 def test_radial_requires_symmetry():
