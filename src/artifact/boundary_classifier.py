@@ -119,8 +119,9 @@ class FinitenessVerdict:
 # the finiteness path shared by both functionals
 #
 # A functional is given by ``half(sign)``, which returns its integrand g on
-# [1, inf) and a callable giving (value, error) of its head over [0, 1] on the
-# half-line of that sign, and by ``tail(theta, q)``: for sigma ~ |x|^theta
+# [1, inf), a callable giving (value, error) of its head over [0, 1] on the
+# half-line of that sign, and the offsets w > 0 of sigma's kinks on that
+# half-line, and by ``tail(theta, q)``: for sigma ~ |x|^theta
 # (log|x|)^q, the integrand's tail is x^{-(1+d)} (log x)^{-m} and tail returns
 # (d, m, rate), rate being the tail exponent reported for a divergence.  d is
 # kept apart from e = 1 + d because 1 + d rounds to 1 once |d| < 1.1e-16.
@@ -134,6 +135,24 @@ _LOG_CUT = 300.0
 _METHODS = ("auto", "analytic_tail", "adaptive_quadrature")
 
 
+def _quad(f, a, b, points):
+    """(value, error) of int_a^b f, split at the points strictly inside (a, b).
+
+    A kink makes QUADPACK bisect towards it until roundoff, so each smooth
+    piece gets a quad call of its own and the results are summed; with no
+    point inside, the loop makes a single quad call.  Separate calls, not
+    quad's points=, because a long table has more kinks than its subinterval
+    limit.
+    """
+    edges = [a, *sorted(v for v in points if a < v < b), b]
+    value = error = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, e = integrate.quad(f, lo, hi, **_QUAD_KW)
+        value += v
+        error += e
+    return value, error
+
+
 def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> FinitenessVerdict:
     """Finiteness verdict of the functional (half, tail) over domain; method
     is as for integral_I, decided per half-line."""
@@ -144,29 +163,29 @@ def _finiteness(s: SigmaFunction, domain: Domain, method: str, half, tail) -> Fi
         right = _finiteness(s, Domain.POS_HALF, method, half, tail)
         return _combine(left, right)
     positive = domain == Domain.POS_HALF
-    g, head = half(1.0 if positive else -1.0)
+    g, head, ws = half(1.0 if positive else -1.0)
     if method != "adaptive_quadrature":
         structure = s.tail(positive)
         if structure is not None:
-            return _tail_rule(g, head, domain, structure[0], *tail(*structure))
+            return _tail_rule(g, head, ws, domain, structure[0], *tail(*structure))
         if method == "analytic_tail":
             return FinitenessVerdict("undecided", domain, Method.ANALYTIC_TAIL)
-    return _ladder(g, head, domain)
+    return _ladder(g, head, ws, domain)
 
 
-def _tail_rule(g, head, domain: Domain, theta, d, m, rate) -> FinitenessVerdict:
+def _tail_rule(g, head, ws, domain: Domain, theta, d, m, rate) -> FinitenessVerdict:
     """x^{-(1+d)} (log x)^{-m} is integrable at infinity iff d > 0, or d == 0
     and m > 1.  One rule then serves every declared tail: quadrature in u =
     log x up to L, and beyond it, where the integrand is C e^{-du} u^{-m},
     int_L^inf = g(e^L) e^L L U(1, 2-m, dL) (DLMF 13.4.4 with u = L(1+t)),
     which is g(e^L) e^L L/(m-1) at d == 0.  A finite tail has theta >= 1, L =
     min(_LOG_CUT, 600/theta) keeps sigma(e^L) finite, and a table must end
-    below e^L."""
+    below e^L.  The u-quadrature is split at the kinks' u = log w."""
     if not (d > 0.0 or (d == 0.0 and m > 1.0)):
         return FinitenessVerdict("infinite", domain, Method.ANALYTIC_TAIL, divergence_rate=rate)
     cut = min(_LOG_CUT, 600.0 / theta)
     v1, e1 = head()
-    v2, e2 = integrate.quad(lambda u: g(math.exp(u)) * math.exp(u), 0.0, cut, **_QUAD_KW)
+    v2, e2 = _quad(lambda u: g(math.exp(u)) * math.exp(u), 0.0, cut, [math.log(w) for w in ws])
     x = math.exp(cut)
     v2 += g(x) * x * cut * float(special.hyperu(1.0, 2.0 - m, d * cut))
     return FinitenessVerdict(
@@ -174,16 +193,18 @@ def _tail_rule(g, head, domain: Domain, theta, d, m, rate) -> FinitenessVerdict:
     )
 
 
-def _ladder(g, head, domain: Domain) -> FinitenessVerdict:
-    """Decade ladder [1, 1e8] with geometric (Richardson-type) extrapolation."""
+def _ladder(g, head, ws, domain: Domain) -> FinitenessVerdict:
+    """Decade ladder [1, 1e8] with geometric (Richardson-type) extrapolation;
+    each decade's quadrature in t = log10 w is split at the kinks' t."""
     ln10 = math.log(10.0)
+    ts = [math.log10(w) for w in ws]
 
     def piece(k):
         def f(t):  # the integral over [10^k, 10^{k+1}], log-substituted
             x = 10.0 ** t
             return g(x) * x * ln10
 
-        return integrate.quad(f, k, k + 1, **_QUAD_KW)[0]
+        return _quad(f, k, k + 1, ts)[0]
 
     pieces = [piece(k) for k in range(8)]
     ratios = [
@@ -260,15 +281,17 @@ def _integral_I(s: SigmaFunction, alpha, domain: Domain, method, x0) -> Finitene
     alpha = _admissible_alpha(alpha)
 
     def half(sign):
+        ws = [w for w in (sign * (b - x0) for b in s.kinks()) if w > 0.0]
+
         def g(w):
             return s(x0 + sign * w) ** (-alpha) * w ** (alpha - 1.0)
 
         def head():
             # u = w^alpha removes the w^{alpha-1} endpoint singularity
-            return integrate.quad(lambda u: s(x0 + sign * u ** (1.0 / alpha)) ** (-alpha) / alpha,
-                                  0.0, 1.0, **_QUAD_KW)
+            return _quad(lambda u: s(x0 + sign * u ** (1.0 / alpha)) ** (-alpha) / alpha,
+                         0.0, 1.0, [w ** alpha for w in ws])
 
-        return g, head
+        return g, head, ws
 
     def tail(theta, q):
         # sigma^{-alpha} x^{alpha-1} ~ x^{-(1 + alpha(theta-1))} (log x)^{-alpha q}
@@ -287,7 +310,8 @@ def integral_log(s: SigmaFunction, method: str = "auto") -> FinitenessVerdict:
     """
 
     def half(sign):
-        return (lambda x: math.log(x) / s(sign * x)), (lambda: (0.0, 0.0))
+        ws = [w for w in (sign * b for b in s.kinks()) if w > 0.0]
+        return (lambda x: math.log(x) / s(sign * x)), (lambda: (0.0, 0.0)), ws
 
     def tail(theta, q):
         # sigma^{-1} log x ~ x^{-theta} (log x)^{-(q-1)}

@@ -7,6 +7,12 @@ Declared tails let the boundary classifier decide integral finiteness
 analytically; without them it falls back on adaptive quadrature over a
 growing window and may honestly return "undecided".
 
+A sigma also declares where it is not smooth: ``kinks()`` gives the sorted
+points at which its derivative jumps, none for the smooth kinds, every node
+for a table and the union of its parts' kinks for a product.  The classifier
+splits each quadrature there, since adaptive Gauss-Kronrod bisects towards a
+kink until it meets roundoff.
+
 Kinds
 -----
 PowerTail(c, theta)
@@ -96,6 +102,10 @@ class SigmaFunction:
         """(theta, q) of the declared tail as x -> +inf (positive) or -inf, or None."""
         t = self.tail_plus if positive else self.tail_minus
         return None if t is None else (float(t), 0.0)
+
+    def kinks(self) -> tuple[float, ...]:
+        """The sorted points at which sigma is not smooth; none by default."""
+        return ()
 
     def describe(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -214,6 +224,10 @@ class Tabulated(SigmaFunction):
 
     __call__ = _pointwise(_point, _array)
 
+    def kinks(self) -> tuple[float, ...]:
+        # every node, the two ends included: the power extrapolation joins there
+        return self.xs
+
     @classmethod
     def from_csv(cls, path, tail_plus: float, tail_minus: float) -> "Tabulated":
         """Two-column `x,sigma` CSV (comments with # allowed)."""
@@ -270,6 +284,9 @@ class Composite(SigmaFunction):
             theta += t[0]
             q += t[1]
         return theta, q
+
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(sorted(set().union(*(part.kinks() for part in self.parts))))
 
     def describe(self) -> str:
         return "composite:(" + "*".join(p.describe() for p in self.parts) + ")"

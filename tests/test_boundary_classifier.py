@@ -10,7 +10,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import IntegrationWarning
 
 from artifact import (
     Composite,
@@ -29,6 +28,10 @@ from artifact import (
 from artifact import sigma_model
 from artifact.boundary_classifier import _REACH
 from artifact.fluctuation_oracles import expected_explosion_time
+
+# QUADPACK's roundoff warnings mark a quadrature that was not split where
+# sigma is not smooth, so every one of them fails the test that raised it
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 
 TICK, CROSS = "tick", "cross"
 
@@ -283,16 +286,86 @@ class _NumpyWithoutArrays:
 
 def test_classify_calls_sigma_on_points_only(monkeypatch):
     # the integral tests pass sigma one float at a time; each such call must
-    # stay in plain float arithmetic, which is what keeps classify fast
+    # stay in plain float arithmetic, which is what keeps classify fast.  With
+    # integration warnings as errors these table rows also show that every
+    # quadrature, by each method, is split at the table's nodes
     grid = np.linspace(-20.0, 20.0, 41)
     table = Tabulated(tuple(grid), tuple(1.0 + grid ** 2), tail_plus=2.0, tail_minus=2.0)
     sigmas = (table, Composite((LogPower(c=1.0, theta=0.5, q=1.0), table)))
     cases = [(p, s, method) for p in (StableParams(0.5, 0.5), StableParams(1.0, 0.5),
                                       StableParams(1.5, 0.6))
-             for s in sigmas for method in ("auto", "adaptive_quadrature")]
+             for s in sigmas for method in ("auto", "analytic_tail", "adaptive_quadrature")]
     want = [classify(p, s, method).to_json() for p, s, method in cases]
     monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
     assert [classify(p, s, method).to_json() for p, s, method in cases] == want
+
+
+def _table(lo, hi, n, theta_plus, theta_minus):
+    """A table sigma on n nodes over [lo, hi] whose slope jumps at every node."""
+    xs = np.linspace(lo, hi, n)
+    ys = (1.0 + xs ** 2) ** (np.where(xs >= 0, theta_plus, theta_minus) / 2) * (1.5 + np.cos(3 * xs))
+    return Tabulated(tuple(xs), tuple(ys), tail_plus=theta_plus, tail_minus=theta_minus)
+
+
+_TABLE = _table(-20.0, 20.0, 41, 1.8, 1.6)
+
+
+def _mp_table_half(table, alpha, sign, x0):
+    """int_0^inf sigma(x0 + sign w)^-alpha w^(alpha-1) dw for a table sigma
+    with x0 inside its grid, in mpmath: split at the nodes, where sigma is
+    linear in w, and in closed form beyond the last node on that side, where
+    sigma = y_end (v / V)^theta in v = |x| = w + sign x0, V = |x_end|:
+    int_V^inf v^(-alpha theta) (v - sign x0)^(alpha-1) dv
+    = V^-c / c 2F1(1 - alpha, c; c + 1; sign x0 / V), c = alpha (theta - 1)."""
+    a, x0 = mpmath.mpf(alpha), mpmath.mpf(x0)
+    nodes = sorted((sign * (mpmath.mpf(x) - x0), mpmath.mpf(y)) for x, y in zip(table.xs, table.ys))
+    ahead = [n for n in nodes if n[0] > 0]
+    (w0, y0), (w1, y1) = max(n for n in nodes if n[0] <= 0), ahead[0]
+    start = (mpmath.mpf(0), y0 + (y1 - y0) * (0 - w0) / (w1 - w0))
+    total = mpmath.mpf(0)
+    for (wa, ya), (wb, yb) in zip([start] + ahead[:-1], ahead):
+        slope = (yb - ya) / (wb - wa)
+        total += mpmath.quad(lambda w: (ya + slope * (w - wa)) ** -a * w ** (a - 1), [wa, wb])
+    w_end, y_end = ahead[-1]
+    v_end = w_end + sign * x0
+    c = a * ((table.tail_plus if sign > 0 else table.tail_minus) - 1)
+    # sigma^-alpha = y_end^-alpha V^(alpha theta) v^(-alpha theta), and alpha theta - c = alpha
+    return total + y_end ** -a * v_end ** a / c * mpmath.hyp2f1(1 - a, c, c + 1, sign * x0 / v_end)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.5))
+@pytest.mark.parametrize("method", ("auto", "adaptive_quadrature"))
+def test_table_integral_matches_mpmath_split_at_its_nodes(method, alpha):
+    for domain, sign in ((Domain.POS_HALF, 1), (Domain.NEG_HALF, -1)):
+        with mpmath.workdps(30):
+            want = float(_mp_table_half(_TABLE, alpha, sign, 0.0))
+        got = integral_I(_TABLE, alpha, domain, method)
+        assert got.finite, got
+        assert abs(got.value - want) <= got.error_estimate, (domain, got, want)
+
+
+@pytest.mark.parametrize("rho, sign", [(1.0, 1), (0.0, -1)])
+def test_expected_explosion_time_on_a_table_matches_mpmath(rho, sign):
+    # from x0 = 0.3 every kink sits 0.3 off a round offset; a one-sided
+    # driver weights one half-line by h(sign w) = w^(alpha-1) / Gamma(alpha)
+    a, x0 = 0.5, 0.3
+    with mpmath.workdps(30):
+        want = float(_mp_table_half(_TABLE, a, sign, x0) / mpmath.gamma(a))
+    got = expected_explosion_time(StableParams(a, rho), _TABLE, x0)
+    assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+
+def test_a_table_with_more_kinks_than_quadpack_s_subinterval_limit():
+    # 1,001 nodes on [-50, 50]: about 400 kinks fall in the ladder's decade [10, 100]
+    # and about 490 in the tail rule's u-range, past quad's limit of 200
+    table = _table(-50.0, 50.0, 1001, 1.8, 1.6)
+    for alpha, rho in ((0.5, 0.6), (1.0, 0.5), (1.5, 0.6)):
+        for method in ("auto", "adaptive_quadrature"):
+            classify(StableParams(alpha, rho), table, method)
+    for domain in (Domain.POS_HALF, Domain.NEG_HALF):
+        tail, ladder = (integral_I(table, 0.5, domain, m) for m in ("auto", "adaptive_quadrature"))
+        assert tail.finite and ladder.finite
+        assert abs(tail.value - ladder.value) <= tail.error_estimate + ladder.error_estimate
 
 
 def _mp_log_sigma(parts, u):
@@ -355,10 +428,8 @@ def test_tail_finite_only_through_its_log_matches_mpmath(monkeypatch):
         wants = [float(_mp_I_half((part,), alpha)) for part, alpha in powers]
         wants.append(float(2 * _mp_log_half(product)))
     monkeypatch.setattr(sigma_model, "np", _NumpyWithoutArrays())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        gots = [integral_I(LogPower(*part), alpha, Domain.POS_HALF) for part, alpha in powers]
-        gots.append(integral_log(Composite(tuple(LogPower(*part) for part in product))))
+    gots = [integral_I(LogPower(*part), alpha, Domain.POS_HALF) for part, alpha in powers]
+    gots.append(integral_log(Composite(tuple(LogPower(*part) for part in product))))
     for got, want in zip(gots, wants):
         assert got.finite and got.method.value == "analytic_tail"
         assert got.value == pytest.approx(want, rel=1e-6)

@@ -33,6 +33,9 @@ from artifact.fluctuation_oracles import (
     strip_exit_density,
 )
 
+# a QUADPACK warning marks an integral evaluated poorly; it fails the test
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 
 # ---------------------------------------------------------------------------
 # the harmonic kernel h

@@ -17,6 +17,9 @@ from artifact import (
     parse_sigma_spec,
 )
 
+# a QUADPACK warning marks an integral evaluated poorly; it fails the test
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 
 def test_power_tail_values():
     s = PowerTail(c=1.0, theta=2.0)
@@ -73,6 +76,16 @@ def test_tabulated_extrapolates_each_tail_by_its_power():
     assert s(6.0) == pytest.approx(8.0 * 2.0 ** 2)
     assert s(-8.0) == pytest.approx(4.0 * 4.0 ** 0.5)
     np.testing.assert_allclose(s(np.array([-8.0, 0.5, 6.0])), [8.0, 1.5, 32.0])
+
+
+def test_kinks_are_a_table_s_nodes_and_a_product_s_union():
+    table = Tabulated((-2.0, 0.0, 1.0, 3.0), (4.0, 1.0, 2.0, 8.0), tail_plus=2.0, tail_minus=0.5)
+    other = Tabulated((-1.0, 0.0, 5.0), (1.0, 2.0, 3.0), tail_plus=1.0, tail_minus=1.0)
+    assert PowerTail(c=1.0, theta=2.0).kinks() == ()
+    assert LogPower(c=1.0, theta=1.0, q=2.0).kinks() == ()
+    assert table.kinks() == (-2.0, 0.0, 1.0, 3.0)
+    assert Composite((PowerTail(c=1.0, theta=1.0), LogPower())).kinks() == ()
+    assert Composite((table, LogPower(), other)).kinks() == (-2.0, -1.0, 0.0, 1.0, 3.0, 5.0)
 
 
 def test_parse_table_spec_reads_the_csv(tmp_path):
