@@ -195,7 +195,8 @@ def _tail_rule(g, head, ws, domain: Domain, theta, d, m, rate) -> FinitenessVerd
 
 def _ladder(g, head, ws, domain: Domain) -> FinitenessVerdict:
     """Decade ladder [1, 1e8] with geometric (Richardson-type) extrapolation;
-    each decade's quadrature in t = log10 w is split at the kinks' t."""
+    each decade's quadrature in t = log10 w is split at the kinks' t, and
+    its quadrature error counts towards the error estimate."""
     ln10 = math.log(10.0)
     ts = [math.log10(w) for w in ws]
 
@@ -204,9 +205,9 @@ def _ladder(g, head, ws, domain: Domain) -> FinitenessVerdict:
             x = 10.0 ** t
             return g(x) * x * ln10
 
-        return _quad(f, k, k + 1, ts)[0]
+        return _quad(f, k, k + 1, ts)
 
-    pieces = [piece(k) for k in range(8)]
+    pieces, piece_errs = zip(*(piece(k) for k in range(8)))
     ratios = [
         pieces[i + 1] / pieces[i] for i in range(len(pieces) - 1) if pieces[i] > 0
     ]
@@ -224,7 +225,7 @@ def _ladder(g, head, ws, domain: Domain) -> FinitenessVerdict:
         body = vhead + sum(pieces)
         tail_extrap = pieces[-1] * rbar / (1.0 - rbar)
         spread = max(tail_ratios) - min(tail_ratios)
-        extrap_err = abs(pieces[-1]) * spread / (1.0 - rbar) ** 2 + ehead
+        extrap_err = abs(pieces[-1]) * spread / (1.0 - rbar) ** 2 + ehead + sum(piece_errs)
         value = body + tail_extrap
         if value > 0 and extrap_err / value < 1e-4:
             return FinitenessVerdict(

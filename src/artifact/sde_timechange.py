@@ -26,7 +26,9 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
-from .stable_core import OutOfRangeError, Path, StableParams, _keyed, _retimed, _seed_of
+from .stable_core import (
+    OutOfRangeError, Path, StableParams, _keyed, _retimed, _seed_of, _standard_draws,
+)
 
 __all__ = [
     "ExhaustedPathError",
@@ -231,8 +233,6 @@ def sample_increments_matrix(
     p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator
 ) -> np.ndarray:
     """(m, len(dts)) matrix of independent increments, column k over dts[k]."""
-    from .stable_core import _standard_draws
-
     draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
     draws *= dts ** (1.0 / p.alpha)
     return draws

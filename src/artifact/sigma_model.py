@@ -25,7 +25,8 @@ LogPower(c, theta, q)
     ``tail`` gives (theta, q), and q decides the theta = 1 knife edge.
 Tabulated(xs, ys, tail_plus, tail_minus)
     Linear interpolation of strictly positive samples inside [xs[0], xs[-1]],
-    matched power extrapolation sigma(x) = y_end (|x|/|x_end|)^theta beyond.
+    a grid that straddles 0, and matched power extrapolation sigma(x) =
+    y_end (|x|/|x_end|)^theta beyond.
     Tail exponents are REQUIRED (classification would otherwise be a guess)
     and must be consistent with the data; loading from two-column CSV is
     provided.
@@ -184,6 +185,8 @@ class Tabulated(SigmaFunction):
             raise ValueError("need matching 1-D grids with at least two nodes")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("grid must be strictly increasing")
+        if not xs[0] < 0.0 < xs[-1]:  # else the extrapolation reaches sigma(0) = 0
+            raise ValueError("grid must straddle 0: xs[0] < 0 < xs[-1]")
         if np.any(~np.isfinite(ys)) or np.any(ys <= 0):
             raise NonPositiveError("tabulated sigma values must be finite and positive")
         if self.tail_plus is None or self.tail_minus is None:
@@ -198,9 +201,9 @@ class Tabulated(SigmaFunction):
     def _point(self, x):
         xs, ys = self.xs, self.ys
         if x > xs[-1]:
-            return ys[-1] * (abs(x) / max(abs(xs[-1]), 1e-300)) ** self.tail_plus
+            return ys[-1] * (x / xs[-1]) ** self.tail_plus
         if x < xs[0]:
-            return ys[0] * (abs(x) / max(abs(xs[0]), 1e-300)) ** self.tail_minus
+            return ys[0] * (x / xs[0]) ** self.tail_minus
         j = bisect.bisect_right(xs, x) - 1
         if xs[j] == x:  # np.interp's rule at a node, the last one included
             return ys[j]
@@ -214,12 +217,10 @@ class Tabulated(SigmaFunction):
         hi, lo = xs[-1], xs[0]
         mask = x > hi
         if np.any(mask):
-            base = max(abs(hi), 1e-300)
-            out = np.where(mask, ys[-1] * (np.abs(x) / base) ** self.tail_plus, out)
+            out = np.where(mask, ys[-1] * (np.abs(x) / hi) ** self.tail_plus, out)
         mask = x < lo
         if np.any(mask):
-            base = max(abs(lo), 1e-300)
-            out = np.where(mask, ys[0] * (np.abs(x) / base) ** self.tail_minus, out)
+            out = np.where(mask, ys[0] * (np.abs(x) / -lo) ** self.tail_minus, out)
         return out
 
     __call__ = _pointwise(_point, _array)

@@ -78,6 +78,13 @@ def test_tabulated_extrapolates_each_tail_by_its_power():
     np.testing.assert_allclose(s(np.array([-8.0, 0.5, 6.0])), [8.0, 1.5, 32.0])
 
 
+def test_tabulated_grid_must_straddle_zero():
+    # extrapolated from an end on one side of 0, sigma would reach 0 at x = 0
+    for xs in ((-3.0, -1.0), (0.0, 2.0), (1.0, 3.0), (-2.0, 0.0)):
+        with pytest.raises(ValueError, match="straddle 0"):
+            Tabulated(xs, (1.0, 1.0), tail_plus=2.0, tail_minus=2.0)
+
+
 def test_kinks_are_a_table_s_nodes_and_a_product_s_union():
     table = Tabulated((-2.0, 0.0, 1.0, 3.0), (4.0, 1.0, 2.0, 8.0), tail_plus=2.0, tail_minus=0.5)
     other = Tabulated((-1.0, 0.0, 5.0), (1.0, 2.0, 3.0), tail_plus=1.0, tail_minus=1.0)

@@ -223,12 +223,12 @@ def test_char_exponent_closed_form_and_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# the in-place CMS kernel and the step check
+# the blocked CMS kernel and the step check
 
 
 def _cms_expression(p, gen, n):
-    """Chambers–Mallows–Stuck written as one numpy expression, a temporary per
-    operation: the bits the in-place kernel must reproduce."""
+    """Chambers–Mallows–Stuck written as one numpy expression with libm's sine
+    and cosine, a temporary per operation: the reference for the kernel."""
     u = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     if p.alpha == 1.0:
         return np.tan(u)
@@ -241,24 +241,74 @@ def _cms_expression(p, gen, n):
 
 # alpha 0.5 takes numpy's power fast path for (1-alpha)/alpha = 1, alpha 1 is
 # tan(U); then the symmetric alpha > 1 cases and the one-sided endpoints
-@pytest.mark.parametrize("alpha, rho", [
+_KERNEL_CASES = [
     (0.5, 0.5), (1.0, 0.5), (1.2, 0.5), (1.5, 0.5), (1.9, 0.5), (0.7, 0.3),
     (0.5, 1.0), (0.5, 0.0), (1.5, 1.0 / 1.5), (1.5, 1.0 - 1.0 / 1.5),
-])
-def test_standard_draws_are_the_cms_expression_bit_for_bit(alpha, rho):
+]
+
+
+@pytest.mark.parametrize("alpha, rho", _KERNEL_CASES)
+def test_standard_draws_match_the_cms_expression(alpha, rho):
+    # the half-angle tangents agree with libm's sine and cosine to about
+    # 1e-11 relative; 10^5 draws span twelve full blocks and a partial one
     p = StableParams(alpha, rho)
-    for n in (1, 7, 4099):
+    for n in (1, 7, 4099, 100_000):
         draws = _standard_draws(p, stream(3, n), n)
-        np.testing.assert_array_equal(draws, _cms_expression(p, stream(3, n), n))
+        np.testing.assert_allclose(draws, _cms_expression(p, stream(3, n), n), rtol=1e-9)
         assert draws.flags.owndata and draws.flags.writeable
     # the scaling by dt^(1/alpha), in place, gives the product it replaced
     dt = np.linspace(0.0, 2.0, 12).reshape(3, 4)
     np.testing.assert_array_equal(
         sample_increment(p, dt, stream(4)),
-        dt ** (1.0 / alpha) * _cms_expression(p, stream(4), 12).reshape(3, 4))
+        dt ** (1.0 / alpha) * _standard_draws(p, stream(4), 12).reshape(3, 4))
     np.testing.assert_array_equal(
         sample_increment(p, 0.3, stream(5), size=50),
-        np.asarray(0.3) ** (1.0 / alpha) * _cms_expression(p, stream(5), 50))
+        np.asarray(0.3) ** (1.0 / alpha) * _standard_draws(p, stream(5), 50))
+
+
+class _FixedDraws:
+    """A generator stand-in that hands the kernel chosen u and w = 0.7."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.u.copy()
+
+    def standard_exponential(self, size):
+        return np.full(size, 0.7)
+
+
+def _pole_hits(p):
+    """The u in [-fl(pi/2), fl(pi/2)] within 64 ulps of the real solution at
+    which (1-a) u + theta, in floats, is exactly +-fl(pi/2)."""
+    a, th, hp = p.alpha, p.theta, math.pi / 2.0
+    hits = []
+    for target in (hp, -hp):
+        lo = hi = (target - th) / (1.0 - a)
+        for _ in range(64):
+            hits += [u for u in (lo, hi) if abs(u) <= hp and u * (1.0 - a) + th == target]
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return sorted(set(hits))
+
+
+@pytest.mark.parametrize("alpha, rho", _KERNEL_CASES + [
+    (0.05, 1.0), (0.05, 0.0), (0.7, 0.0), (0.999, 1.0), (1.2, 1.0 / 1.2)])
+def test_standard_draws_at_the_poles_of_their_cosines(alpha, rho):
+    # u = +-fl(pi/2) puts cos(u) at its zero; on a one-sided driver some u
+    # put (1-a) u + theta there too, and may round it just past (alpha 1.2,
+    # rho 1/1.2 at u = fl(pi/2)).  No negative base may reach a fractional
+    # power, and a monotone driver's draws keep their sign.
+    p = StableParams(alpha, rho)
+    hits = [] if p.sidedness is Sidedness.TWO_SIDED else _pole_hits(p)
+    # at alpha 1.5 the float sums straddle +-fl(pi/2) without landing on it
+    assert hits or p.sidedness is Sidedness.TWO_SIDED or alpha == 1.5
+    u = [-math.pi / 2.0, math.pi / 2.0] + hits
+    with np.errstate(invalid="raise"):
+        x = _standard_draws(p, _FixedDraws(u), len(u))
+    assert not np.any(np.isnan(x))
+    if p.is_monotone:
+        assert np.all(x >= 0.0) if rho == 1.0 else np.all(x <= 0.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
