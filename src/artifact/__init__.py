@@ -55,7 +55,6 @@ from .montecarlo import (
     ks_statistic,
     occupation_potential_lemma,
     occupation_vs_potential,
-    perpetual_integral_law,
 )
 from .sde_timechange import (
     AdditiveFunctional,

@@ -38,7 +38,7 @@ from .fluctuation_oracles import (
 )
 from .sde_timechange import explosion_estimate
 from .sigma_model import parse_sigma_spec
-from .stable_core import StableParams, sample_path
+from .stable_core import OutOfRangeError, StableParams, sample_path
 from .transforms import ExponentKind, LevyExponent, esscher_zero_check, mean_at_one
 
 SCHEMA_VERSION = "1"
@@ -149,6 +149,8 @@ def _cmd_simulate(ns) -> int:
     seed = ns.seed if ns.seed is not None else _env_seed()
     if ns.horizon <= 0:
         raise UsageError("--horizon must be positive")
+    if ns.n < 1:
+        raise UsageError("--n must be at least 1")
     step = ns.step if ns.step is not None else 1e-3 * ns.horizon
     sigma = parse_sigma_spec(ns.sigma) if ns.sigma else None
     outputs = []
@@ -285,15 +287,39 @@ def _strip_positions(p, n, seed):
             {"entry_fraction": res["entry_fraction"], "missed": res["missed"]})
 
 
+def _explosion_clock(p, s, n, seed):
+    """n explosion clocks from 0, cut at X-time 1e6, in batches of 5,000 drivers."""
+    return explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
+
+
 def _explosion_time(p, s, n, seed):
     t0 = time.perf_counter()
     target = expected_explosion_time(p, s, 0.0).value
-    est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
+    est = _explosion_clock(p, s, n, seed)
     mean, se, rel = mc._mean_vs_target(est.plateaued_samples, target)
     return [mc._judged("explosion_time_vs_potential", rel, 0.05, n, seed, t0, {
         "mc_mean": mean, "mc_se": se, "target": float(target),
         "plateau_fraction": est.plateau_fraction,
     })]
+
+
+def _perpetual(p, s, n, seed):
+    """Explosion clocks on two fixed coefficients (--sigma is ignored): >= 99 %
+    plateau where classify ticks an explosion point, <= 1 % where it ticks
+    none.  theta = 1 is the knife edge, where the clock diverges like a log."""
+    if p.alpha >= 1.0:
+        raise OutOfRangeError(f"explosion needs alpha < 1, got alpha = {p.alpha}")
+    outcomes = []
+    for sigma in (parse_sigma_spec("power:c=1,theta=3"), parse_sigma_spec("power:c=1,theta=1")):
+        t0 = time.perf_counter()
+        ticked = classify(p, sigma).ticks("explosion")
+        frac = _explosion_clock(p, sigma, n, seed).plateau_fraction
+        expect = "finite" if ticked else "infinite"
+        outcomes.append(mc._judged(
+            f"perpetual_integral_{expect}", 0.99 - frac if ticked else frac - 0.01, 0.0,
+            n, seed, t0, {"plateau_fraction": frac, "expect": expect,
+                          "sigma": sigma.describe(), "ticked": ticked}))
+    return outcomes
 
 
 # validate --suite -> (default alpha, default n, run(p, sigma, n, seed) -> outcomes).
@@ -307,13 +333,7 @@ _SUITES = {
         p, s, x0=0.5, window=(1.0, 2.0), n_paths=n, rng=seed)]),
     "lemma": (1.2, 100_000, lambda p, s, n, seed: [
         mc.occupation_potential_lemma(p, n_paths=n, rng=seed)]),
-    "perpetual": (1.5, 5_000, lambda p, s, n, seed: [
-        mc.perpetual_integral_law(1.0, lambda x: np.exp(-x), n_paths=n, rng=seed,
-                                  expect="finite", name="perpetual_integral_exp"),
-        mc.perpetual_integral_law(1.0, lambda x: 1.0 / (1.0 + np.abs(x)), n_paths=n,
-                                  rng=seed, expect="infinite",
-                                  name="perpetual_integral_harmonic"),
-    ]),
+    "perpetual": (0.5, 5_000, _perpetual),
     "entrance": (1.5, 4_000, lambda p, s, n, seed: [mc.entrance_proxy(
         p, s, level=10.0, starts=(100.0, 1000.0), n_paths=n, rng=seed,
         expect="stabilize")]),

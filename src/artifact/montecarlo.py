@@ -19,6 +19,9 @@ carry no clock, so every other kernel (the overshoot and strip laws, whose
 checks must not lean on the exit law, the interval-exit samplers, the
 lemma's uniform skeleton and everything timed) only takes time steps.
 
+Every path here is a stable driver.  The perpetual integral that decides
+explosion, A_inf = int sigma(X_t)^{-alpha} dt, is sampled in ``sde_timechange``.
+
 A kernel exposes only what its callers set: the step-refinement knobs
 (base_step, step_coef, kill_eps, near_cap), horizon and max_steps, and the
 batch size of ``passage_overshoot_samples`` and ``interval_exit_occupation``;
@@ -43,7 +46,6 @@ import numpy as np
 from scipy import integrate
 
 from .fluctuation_oracles import killed_potential_density
-from .sde_timechange import _plateaued
 from .sigma_model import SigmaFunction
 from .stable_core import (
     OutOfRangeError,
@@ -68,7 +70,6 @@ __all__ = [
     "exit_interval_samples",
     "occupation_vs_potential",
     "occupation_potential_lemma",
-    "perpetual_integral_law",
     "entrance_proxy",
 ]
 
@@ -732,57 +733,6 @@ def occupation_potential_lemma(
     })
 
 
-def perpetual_integral_law(
-    drift: float,
-    f,
-    n_paths: int = 5_000,
-    rng=0,
-    expect: str = "finite",
-    name: str = "perpetual_integral_law",
-) -> ValidationOutcome:
-    """Finiteness of int_0^inf f(xi_s) ds for Brownian motion with positive
-    drift, decided by the plateau flag (relative growth of the integral over
-    the last decade of the horizon 200 < 1e-3), on a trapezoid grid of step
-    0.02.
-
-    The law is zero-one: f integrable-at-infinity against the drift gives a
-    finite perpetual integral for every path, otherwise for none.  Pass for
-    expect="finite": plateau fraction >= 0.99; for expect="infinite":
-    fraction <= 0.01.  The statistic is oriented so pass == statistic <= 0.
-    """
-    if expect not in ("finite", "infinite"):
-        raise OutOfRangeError("expect must be 'finite' or 'infinite'")
-    if n_paths < 1:
-        raise OutOfRangeError("n_paths must be at least 1")
-    t0 = time.perf_counter()
-    horizon, step = 200.0, 0.02
-    n_steps = int(round(horizon / step))
-    k_decade = int(round(n_steps / 10))
-    gen = _keyed(rng, 0)
-    xi = np.zeros(n_paths)
-    integral = np.zeros(n_paths)
-    snapshot = np.zeros(n_paths)
-    f_old = np.asarray(f(xi), dtype=float)
-    root_dt = math.sqrt(step)
-    for k in range(n_steps):
-        xi = xi + drift * step + root_dt * gen.standard_normal(n_paths)
-        f_new = np.asarray(f(xi), dtype=float)
-        integral += 0.5 * (f_old + f_new) * step
-        f_old = f_new
-        if k + 1 == k_decade:
-            snapshot[:] = integral
-    frac = float(np.mean(_plateaued(integral, integral - snapshot)))
-    if expect == "finite":
-        statistic, threshold = 0.99 - frac, 0.0
-    else:
-        statistic, threshold = frac - 0.01, 0.0
-    return _judged(name, statistic, threshold, n_paths, rng, t0, {
-        "plateau_fraction": frac,
-        "expect": expect,
-        "mean_truncated_integral": float(np.mean(integral)),
-    })
-
-
 def entrance_proxy(
     p: StableParams,
     s: SigmaFunction,
@@ -805,6 +755,8 @@ def entrance_proxy(
     Starts with |x0| <= level are degenerate for this diagnostic (the entry
     time is 0 regardless of any boundary behavior) and are skipped.
     """
+    if expect not in ("stabilize", "diverge"):
+        raise OutOfRangeError("expect must be 'stabilize' or 'diverge'")
     t0 = time.perf_counter()
     admissible = [x for x in starts if abs(x) > level]
     skipped = [x for x in starts if abs(x) <= level]
@@ -827,12 +779,10 @@ def entrance_proxy(
         ref = medians_arr[-1]
         statistic = float(np.max(np.abs(medians_arr / ref - 1.0)))
         thr = 0.10
-    elif expect == "diverge":
+    else:
         growths = medians_arr[1:] / medians_arr[:-1]
         statistic = float(2.0 / np.min(growths))
         thr = 1.0
-    else:
-        raise OutOfRangeError("expect must be 'stabilize' or 'diverge'")
     return _judged("entrance_proxy", statistic, thr, n_paths * len(admissible), rng, t0, {
         "starts": [float(x) for x in admissible],
         "skipped_degenerate_starts": [float(x) for x in skipped],

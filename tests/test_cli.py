@@ -123,6 +123,14 @@ def test_simulate_sigma_stops_at_the_driver_step_budget(capsys):
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_simulate_without_paths_is_usage_error(capsys, n):
+    code, out, err = _run(capsys, "simulate", "--alpha", "1.5", "--rho", "0.5", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle-eval
 
@@ -286,6 +294,27 @@ def test_validate_no_paths_is_usage_error(capsys, suite):
     assert code == 2
     assert out == ""
     assert "n_paths" in err
+
+
+@pytest.mark.parametrize("rho, point", [("1", "+inf"), ("0", "-inf"), ("0.5", "pm_inf")])
+def test_validate_perpetual_witnesses_each_explosion_row(capsys, rho, point):
+    code, out, _ = _run(capsys, "validate", "--suite", "perpetual", "--alpha", "0.5",
+                        "--rho", rho, "--n", "2000")
+    assert code == 0
+    finite, infinite = (json.loads(line) for line in out.splitlines())
+    assert finite["name"] == "perpetual_integral_finite" and finite["passed"] is True
+    assert finite["extras"]["ticked"] == [point]
+    assert finite["extras"]["sigma"] == "power:c=1,theta=3"
+    assert infinite["name"] == "perpetual_integral_infinite" and infinite["passed"] is True
+    assert infinite["extras"]["ticked"] == []
+    assert infinite["extras"]["sigma"] == "power:c=1,theta=1"
+
+
+def test_validate_perpetual_needs_alpha_below_one(capsys):
+    code, out, err = _run(capsys, "validate", "--suite", "perpetual", "--alpha", "1.5")
+    assert code == 2
+    assert out == ""
+    assert "alpha < 1" in err
 
 
 @pytest.mark.parametrize("suite", ["explosion-time", "occupation", "lemma"])

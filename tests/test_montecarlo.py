@@ -251,10 +251,8 @@ def test_batch_below_one_is_rejected(run, batch):
                                         2e-3, 0, rng=0),
     lambda: explosion_estimate(StableParams(0.5, 0.5), parse_sigma_spec("power:c=1,theta=2"),
                                x0=0.0, horizon=10.0, n_paths=0, rng=0),
-    lambda: mc.perpetual_integral_law(1.0, lambda x: np.exp(-x), n_paths=0, rng=0),
     lambda: _lemma_without_walks(n_paths=0),
-], ids=["interval_exit_occupation", "explosion_estimate", "perpetual_integral_law",
-        "occupation_potential_lemma"])
+], ids=["interval_exit_occupation", "explosion_estimate", "occupation_potential_lemma"])
 def test_no_paths_is_rejected(run):
     with pytest.raises(OutOfRangeError, match="n_paths"):
         run()
@@ -401,18 +399,6 @@ def test_occupation_potential_lemma_small_n():
     assert out.statistic < 1.0  # measured 0.12 at this seed; 3 SE is the gate
 
 
-def test_perpetual_integral_three_cases():
-    f_exp = lambda x: np.exp(-x)
-    out = mc.perpetual_integral_law(1.0, f_exp, n_paths=1500, rng=0, expect="finite")
-    assert out.passed
-    out = mc.perpetual_integral_law(1.0, lambda x: np.ones_like(np.asarray(x)),
-                                    n_paths=1500, rng=0, expect="infinite")
-    assert out.passed
-    out = mc.perpetual_integral_law(1.0, lambda x: 1.0 / (1.0 + np.abs(x)),
-                                    n_paths=1500, rng=0, expect="infinite")
-    assert out.passed
-
-
 def test_entrance_proxy_skips_degenerate_start():
     p = StableParams(1.5, 0.5)
     s = parse_sigma_spec("power:c=1,theta=2")
@@ -421,6 +407,17 @@ def test_entrance_proxy_skips_degenerate_start():
     assert out.passed
     assert out.extras["skipped_degenerate_starts"] == [10.0]
     assert out.extras["starts"] == [100.0, 1000.0]
+
+
+def test_entrance_proxy_rejects_expect_before_any_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("strip_entry_samples ran before expect was checked")
+
+    monkeypatch.setattr(mc, "strip_entry_samples", refuse)
+    with pytest.raises(OutOfRangeError, match="expect"):
+        mc.entrance_proxy(StableParams(1.5, 0.5), parse_sigma_spec("power:c=1,theta=2"),
+                          level=10.0, starts=(100.0, 1000.0), n_paths=800, rng=0,
+                          expect="stabilise")
 
 
 def test_entrance_proxy_diverges_for_constant_sigma():
