@@ -20,6 +20,8 @@ and within quadrature drift in time.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
 from .stable_core import (
-    OutOfRangeError, Path, StableParams, _keyed, _retimed, _seed_of, _standard_draws,
+    OutOfRangeError, Path, StableParams, _cms, _keyed, _retimed, _seed_of,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ class HitZeroError(ValueError):
 
 
 _BETA_CLAMP = 1e-12
+_ROWS = 64  # paths per row block of a batch: a block's temporaries stay in cache
 
 
 @dataclass
@@ -159,6 +162,9 @@ class ExplosionEstimate:
 
 
 def _explosion_grid(horizon: float, head_step: float, growth: float) -> np.ndarray:
+    if not (growth > 1.0 and head_step > 0.0 and 0.0 < horizon < math.inf):
+        raise OutOfRangeError("the explosion grid needs growth > 1, head_step > 0 and 0 < "
+                              f"horizon < inf, got {growth}, {head_step}, {horizon}")
     head_end = min(2.0, horizon)
     ts = [np.arange(0.0, head_end, head_step)]
     if horizon > head_end:
@@ -191,6 +197,9 @@ def explosion_estimate(
     sigma(X)^{-alpha} varies on O(1) scales near the start and decays like a
     power at the self-similar scale X_t ~ t^{1/alpha}, so a geometric tail
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
+
+    Memory: one buffer of batch * (len(grid) - 1) floats for each batch's
+    uniforms in turn, plus one block of ``_ROWS`` paths' temporaries.
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
@@ -202,27 +211,22 @@ def explosion_estimate(
     k_decade = int(np.searchsorted(ts, horizon / 10.0))
     samples = np.empty(n_paths)
     flags = np.empty(n_paths, dtype=bool)
+    u, done = np.empty(min(batch, n_paths) * dts.size), 0
     for bi, first in enumerate(range(0, n_paths, batch)):
         m = min(batch, n_paths - first)
-        # each (m, len(ts)) matrix is dropped once spent, so a batch holds
-        # at most three at a time
-        incs = sample_increments_matrix(p, dts, m, _keyed(rng, bi))
-        x = np.empty((m, ts.size))
-        x[:, 0] = x0
-        np.cumsum(incs, axis=1, out=x[:, 1:])
-        del incs
-        x[:, 1:] += x0
-        f = np.asarray(s(x), dtype=float)
-        del x
-        f = f ** (-alpha)  # a fresh array: sigma's may be a view or read-only
-        a_inc = f[:, 1:] + f[:, :-1]
-        del f
-        a_inc *= 0.5
-        a_inc *= dts
-        total = a_inc.sum(axis=1)
-        samples[first : first + m] = total
-        flags[first : first + m] = _plateaued(total, a_inc[:, k_decade:].sum(axis=1))
-        del a_inc
+        for incs in sample_increments_matrix(p, dts, m, _keyed(rng, bi), u):
+            rows = slice(done, done + len(incs))
+            done = rows.stop
+            x = np.empty((len(incs), ts.size))
+            x[:, 0] = x0
+            np.cumsum(incs, axis=1, out=x[:, 1:])
+            x[:, 1:] += x0
+            f = np.asarray(s(x), dtype=float) ** (-alpha)  # fresh: sigma's may be read-only
+            a_inc = f[:, 1:] + f[:, :-1]
+            a_inc *= 0.5
+            a_inc *= dts
+            samples[rows] = a_inc.sum(axis=1)
+            flags[rows] = _plateaued(samples[rows], a_inc[:, k_decade:].sum(axis=1))
     return ExplosionEstimate(
         n_paths=n_paths, horizon=float(horizon), samples=samples,
         plateaued=flags, seed=_seed_of(rng),
@@ -230,12 +234,26 @@ def explosion_estimate(
 
 
 def sample_increments_matrix(
-    p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator
-) -> np.ndarray:
-    """(m, len(dts)) matrix of independent increments, column k over dts[k]."""
-    draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
-    draws *= dts ** (1.0 / p.alpha)
-    return draws
+    p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator, u: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Row blocks, in order, of an (m, len(dts)) matrix of independent
+    increments, column k over dts[k].
+
+    The stream is ``_standard_draws``'s for m * len(dts) draws: all the
+    uniforms, drawn into the head of the buffer u, then the exponentials of
+    each block of ``_ROWS`` rows (none at alpha = 1).  Each block is a view of u.
+    """
+    uniforms, block = u[: m * dts.size], _ROWS * dts.size
+    gen.random(out=uniforms)  # uniform(-pi/2, pi/2) bit for bit, without a copy
+    uniforms *= math.pi
+    uniforms += -math.pi / 2.0
+    scale = dts ** (1.0 / p.alpha)
+    for i in range(0, uniforms.size, block):
+        ub = uniforms[i : i + block]
+        w = None if p.alpha == 1.0 else gen.standard_exponential(size=ub.size)
+        draws = _cms(p, ub, w).reshape(-1, dts.size)
+        draws *= scale
+        yield draws
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ Self-similarity gives increments over a step dt as ``dt^{1/alpha} X_1``.
 The draws of X_1 come back in a fresh array that the caller owns, so the
 scaling by ``dt^{1/alpha}`` is done in place.
 
+Stream contract: n draws of X_1 consume n uniforms, then n exponentials
+(none at alpha = 1), and one transform ``_cms`` maps them to X_1.
+``_standard_draws`` draws both whole; ``sde_timechange`` draws a batch's
+exponentials block by block after its uniforms, with the same numbers.
+
 Random streams are counter-based (Philox) and splittable: ``stream(seed,
 *key)`` yields independent generators for distinct keys, which is how the
 Monte Carlo kernels key their batches.
@@ -244,22 +249,28 @@ _ONE_MINUS_T2 = 2.0 ** -52  # 1 - t^2 at the largest double t below 1
 
 
 def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. copies of X_1 via Chambers–Mallows–Stuck in (alpha, rho).
+    """n i.i.d. copies of X_1: n uniforms, then n exponentials (none at
+    alpha = 1), through _cms.  The returned array is a fresh buffer that the
+    caller owns and may scale in place."""
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+    w = None if p.alpha == 1.0 else rng.standard_exponential(size=n)
+    return _cms(p, u, w)
 
-    u and w are drawn whole, then sin(a u - theta) / cos(u)^(1/a) *
+
+def _cms(p: StableParams, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Chambers–Mallows–Stuck in (alpha, rho), written over the 1-D array u.
+
+    From uniforms u on (-pi/2, pi/2) and exponentials w (None at alpha = 1,
+    where X_1 = tan(u)), sin(a u - theta) / cos(u)^(1/a) *
     (cos((1-a) u + theta) / w)^((1-a)/a) is computed block by block from
     half-angle tangents, within about 1e-10 relative of libm's sin and cos.
     1 - t^2 is floored at its value for the largest t below 1, so an argument
-    that rounds onto or past +-pi/2 keeps a positive cosine.  The returned
-    array is a fresh buffer that the caller owns and may scale in place.
+    that rounds onto or past +-pi/2 keeps a positive cosine.
     """
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
     if p.alpha == 1.0:
         return np.tan(u, out=u)
-    w = rng.standard_exponential(size=n)
     a, half_th = p.alpha, 0.5 * p.theta
-    out = np.empty(n)
-    for i in range(0, n, _BLOCK):
+    for i in range(0, u.size, _BLOCK):
         ub, wb = u[i : i + _BLOCK], w[i : i + _BLOCK]
         t2 = np.tan(ub * (0.5 * (1.0 - a)) + half_th) ** 2
         x = (np.maximum(1.0 - t2, _ONE_MINUS_T2) / ((1.0 + t2) * wb)) ** ((1.0 - a) / a)
@@ -267,8 +278,8 @@ def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.nda
         x *= t / (1.0 + t * t)  # sin(a u - theta) / 2 * (cos((1-a) u + theta) / w)^((1-a)/a)
         t2 = np.tan(0.5 * ub) ** 2
         cos_u = np.maximum(1.0 - t2, _ONE_MINUS_T2) / (1.0 + t2)
-        np.divide(2.0 * x, cos_u ** (1.0 / a), out=out[i : i + _BLOCK])
-    return out
+        np.divide(2.0 * x, cos_u ** (1.0 / a), out=ub)
+    return u
 
 
 def sample_increment(p: StableParams, dt, rng, size: int | None = None):

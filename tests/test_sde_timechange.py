@@ -23,6 +23,7 @@ from artifact import (
     sample_path_at,
 )
 from artifact.sde_timechange import (
+    _ROWS,
     AdditiveFunctional,
     _explosion_grid,
     _plateaued,
@@ -33,7 +34,7 @@ from artifact.sde_timechange import (
     spatial_inversion_inverse,
     time_change_solve,
 )
-from artifact.stable_core import _standard_draws, stream
+from artifact.stable_core import OutOfRangeError, _standard_draws, stream
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,32 @@ def test_explosion_estimate_batch_invariance():
     assert abs(ma - mb) < 6 * pooled
 
 
+class _NoSeed:
+    """An rng that fails the test as soon as a stream is keyed from it."""
+
+    def __int__(self):
+        raise AssertionError("a stream was drawn before the grid was checked")
+
+
+@pytest.mark.parametrize("grid", [
+    dict(growth=1.0, horizon=1e3),  # the geometric tail would never reach the horizon
+    dict(growth=0.5),
+    dict(growth=math.nan),
+    dict(head_step=0.0),
+    dict(head_step=-1e-3),
+    dict(head_step=math.nan),
+    dict(horizon=0.0),
+    dict(horizon=-1.0),
+    dict(horizon=math.nan),
+    dict(horizon=math.inf),
+])
+def test_explosion_estimate_rejects_a_bad_grid_before_any_draw(grid):
+    grid = dict(horizon=1e3) | grid
+    with pytest.raises(OutOfRangeError):
+        explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=0.0,
+                           n_paths=10, rng=_NoSeed(), **grid)
+
+
 def test_explosion_plateau_flags_match_time_change_solve():
     # one plateau rule: a batch-0 driver of the estimator is flagged exactly
     # when time_change_solve on the same grid reports it exploded
@@ -144,7 +171,9 @@ def test_explosion_plateau_flags_match_time_change_solve():
     n, horizon = 500, 1e3
     est = explosion_estimate(p, s, x0=0.0, horizon=horizon, n_paths=n, rng=0, batch=n)
     ts = _explosion_grid(horizon, 5e-3, 1.04)
-    incs = sample_increments_matrix(p, np.diff(ts), n, stream(0, 0))
+    dts = np.diff(ts)
+    incs = np.concatenate(list(
+        sample_increments_matrix(p, dts, n, stream(0, 0), np.empty(n * dts.size))))
     drivers = np.concatenate((np.zeros((n, 1)), np.cumsum(incs, axis=1)), axis=1)
     exploded = []
     for values in drivers:
@@ -198,6 +227,23 @@ def test_explosion_estimate_equals_the_unfused_reference(p, s, x0, horizon):
     np.testing.assert_array_equal(est.plateaued, flags)
 
 
+@pytest.mark.parametrize("p, x0, horizon, n, batch", [
+    (StableParams(1.0, 0.5), 0.0, 1e3, 300, 100),  # alpha = 1 draws no exponentials
+    # a short last batch fills only the head of the first batch's buffer
+    (StableParams(0.5, 0.5), 0.0, 1e6, 301, 100),
+    # batches smaller than one row block, and batches of several blocks
+    # with a short last block
+    (StableParams(1.5, 0.4), 0.2, 1e2, 100, _ROWS // 2 - 1),
+    (StableParams(0.5, 0.5), 0.0, 1e6, 2 * (3 * _ROWS + 5), 3 * _ROWS + 5),
+])
+def test_explosion_row_blocks_equal_the_unfused_reference(p, x0, horizon, n, batch):
+    s = PowerTail(1.0, 2.0)
+    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=n, rng=0, batch=batch)
+    samples, flags = _explosion_reference(p, s, x0, horizon, n, 0, batch)
+    np.testing.assert_array_equal(est.samples, samples)
+    np.testing.assert_array_equal(est.plateaued, flags)
+
+
 def test_explosion_batches_hold_at_most_three_matrices():
     # increments, driver, sigma, integrand and trapezoid terms are each an
     # (m, len(ts)) float matrix; each is dropped once spent and none outlives
@@ -212,6 +258,22 @@ def test_explosion_batches_hold_at_most_three_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * matrix_bytes, peak / matrix_bytes
+
+
+@pytest.mark.parametrize("p", [StableParams(0.5, 0.5), StableParams(1.0, 0.5)])
+def test_explosion_batches_hold_one_matrix(p):
+    # a batch's uniforms fill one (m, len(ts) - 1) buffer that every batch
+    # reuses; increments, driver, sigma and trapezoid terms live in row blocks
+    s, m = PowerTail(1.0, 2.0), 2000
+    matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    tracemalloc.start()
+    try:
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=2 * m, rng=0, batch=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes, peak / matrix_bytes
 
 
 # ---------------------------------------------------------------------------
