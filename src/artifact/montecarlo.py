@@ -31,7 +31,9 @@ and the occupation-potential lemma runs its main skeleton through
 
 Determinism: an integer ``rng`` seeds one independent substream per batch
 (keyed, not sequential), so results are reproducible for a given seed,
-batch size, and n_paths.
+batch size, and n_paths.  ``_walk`` steps groups of lanes side by side, each
+drawing from its own stream as if it walked alone; groups on one Generator
+(a Generator passed as ``rng``) walk one after another, in call order.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def cdf_from_density(density, lo: float, hi: float):
 
 
 class _Ends(NamedTuple):
-    """The lanes of a walk in the order they ended, batch by batch."""
+    """The lanes of a walk, group by group, each in the order they ended."""
 
     x: np.ndarray  # final position
     steps: np.ndarray  # steps taken (int64)
@@ -247,32 +249,55 @@ def _left_endpoint(g):
     return _Sum(lambda x: x, lambda x, x_new, dt: dt * g(x))
 
 
-def _jump_or_step(p, gen, x, dt, r, v, acc, accumulate):
+def _batches(x0, n_paths: int, rng, batch: int) -> list:
+    """n_paths lanes from x0 as groups (x0, lanes, _keyed(rng, bi)) of up to ``batch`` lanes."""
+    if n_paths < 1:
+        raise OutOfRangeError("n_paths must be at least 1")
+    if batch < 1:
+        raise OutOfRangeError("batch must be at least 1")
+    return [(float(x0), min(batch, n_paths - first), _keyed(rng, bi))
+            for bi, first in enumerate(range(0, n_paths, batch))]
+
+
+def _loops(groups, budget: int):
+    """Runs of consecutive groups, one ``_walk`` loop each: whole groups while their lanes
+    fit in ``budget`` (a larger one alone), never two on the same Generator object."""
+    run = []
+    for g in groups:
+        if run and (sum(h[1] for h in run) + g[1] > budget or any(g[2] is h[2] for h in run)):
+            yield run
+            run = []
+        run.append(g)
+    yield run
+
+
+def _jump_or_step(p, gens, grp, live, x, dt, r, v, acc, accumulate):
     """One iteration of ``_walk`` with a reach r per lane: (x_new, v_new),
-    where v_new is what each lane carries at x_new (None without a sum)."""
+    where v_new is what each lane carries at x_new (None without a sum).
+    Lane i draws from gens[grp[i]]; live counts each group's lanes."""
     dt = np.broadcast_to(dt, x.shape)
     jump = r >= dt ** (1.0 / p.alpha)
     x_new = np.empty_like(x)
-    n_jumps = int(np.count_nonzero(jump))
-    if n_jumps:
-        x_new[jump] = x[jump] + r[jump] * sample_interval_exit(p, gen, n_jumps)
+    jumps = np.bincount(grp[jump], minlength=len(gens))
+    if jumps.any():
+        exits = [sample_interval_exit(p, g, k) for g, k in zip(gens, jumps) if k]
+        x_new[jump] = x[jump] + r[jump] * np.concatenate(exits)
     steps = ~jump
-    if n_jumps < x.size:
-        x_new[steps] = x[steps] + sample_increment(p, dt[steps], gen)
+    if jumps.sum() < x.size:
+        sources = [(g, g, k) for g, k in zip(gens, live - jumps) if k]
+        x_new[steps] = x[steps] + sample_increment(p, dt[steps], sources)
     if acc is None:
         return x_new, None
     v_new = accumulate.at(x_new)
-    if n_jumps < x.size:
+    if jumps.sum() < x.size:
         acc[steps] += accumulate.term(v[steps], v_new[steps], dt[steps])
     return x_new, v_new
 
 
 def _walk(
     p: StableParams,
-    x0: float,
-    n_paths: int,
-    rng,
-    batch: int,
+    groups,
+    budget: int,
     step,
     stop,
     *,
@@ -281,55 +306,53 @@ def _walk(
     horizon: float = math.inf,
     max_steps: int,
 ) -> _Ends:
-    """Step n_paths lanes from x0, batch by batch on keyed streams.
+    """Step the lanes of groups (x0, lanes, stream), in the loops of
+    ``_loops(groups, budget)``, each group on its own stream.
 
     Each iteration takes dt = step(x) (a scalar or one length per lane,
     capped by the time left under a finite horizon), draws one increment per
-    lane, adds the step's term of the ``_Sum`` accumulate to the lane sums and
-    ends the lanes with stop(x_new), which are marked stopped, or whose clock
-    reached the horizon.  Lanes still running after max_steps iterations end
-    unstopped.
+    lane in one ``sample_increment`` call, adds the step's term of the
+    ``_Sum`` accumulate to the lane sums and ends the lanes with stop(x_new),
+    which are marked stopped, or whose clock reached the horizon.  Lanes still
+    running after max_steps iterations end unstopped.  Ends come group by
+    group, each in the order its lanes ended, as if each group walked alone.
 
     With reach(x), the half-width r of an interval around each lane inside
     which nothing stops the lane or accumulates, a lane with r >= dt^{1/alpha}
     (the scale of the step it would take) jumps to its exact first exit from
     (x - r, x + r) instead, adding nothing to its sum; the other lanes step.
-    The jumps are drawn before the increments.  A jump carries no clock, so
-    reach needs an infinite horizon.
+    Each group draws its jumps before its increments.  A jump carries no
+    clock, so reach needs an infinite horizon.
     """
-    if n_paths < 1:
-        raise OutOfRangeError("n_paths must be at least 1")
-    if batch < 1:
-        raise OutOfRangeError("batch must be at least 1")
     timed = math.isfinite(horizon)
     if reach is not None and timed:
         raise OutOfRangeError("jumps carry no clock: reach needs an infinite horizon")
-    out = _Ends(
-        x=np.empty(n_paths),
-        steps=np.empty(n_paths, dtype=np.int64),
-        acc=np.empty(n_paths) if accumulate is not None else None,
-        stopped=np.empty(n_paths, dtype=bool),
-    )
-    done = 0  # lanes ended so far; the next ones are written from here
+    sizes = np.array([g[1] for g in groups])
+    n = int(sizes.sum())
+    out = _Ends(np.empty(n), np.empty(n, dtype=np.int64),
+                None if accumulate is None else np.empty(n), np.empty(n, dtype=bool))
+    slots = np.cumsum(sizes) - sizes  # where each group's next ended lane goes
 
-    def record(x, acc, steps, stopped):
-        nonlocal done
-        end = done + x.size
-        out.x[done:end] = x
-        out.steps[done:end] = steps
-        out.stopped[done:end] = stopped
-        if acc is not None:
-            out.acc[done:end] = acc
-        done = end
+    def record(slot, g, *ends):
+        # ends as _Ends fields; g, each lane's group in its loop, is nondecreasing
+        ended = np.bincount(g, minlength=slot.size)
+        at = slot[g] + np.arange(g.size) - (np.cumsum(ended) - ended)[g]
+        for column, values in zip(out, ends):
+            if column is not None:
+                column[at] = values
+        slot += ended
+        return ended
 
-    for bi, first in enumerate(range(0, n_paths, batch)):
-        gen = _keyed(rng, bi)
-        m = min(batch, n_paths - first)
-        x = np.full(m, float(x0))
-        t = np.zeros(m) if timed else None
+    for run in _loops(groups, budget):
+        gens = [g[2] for g in run]
+        slot, slots = slots[: len(run)], slots[len(run) :]  # views: record moves slots
+        live = np.array([g[1] for g in run])
+        grp = np.repeat(np.arange(len(run)), live)
+        x = np.repeat([g[0] for g in run], live)
+        t = np.zeros(x.size) if timed else None
         acc = v = None
         if accumulate is not None:
-            acc, v = np.zeros(m), accumulate.at(x)
+            acc, v = np.zeros(x.size), accumulate.at(x)
         for it in range(max_steps):
             if x.size == 0:
                 break
@@ -338,12 +361,10 @@ def _walk(
                 dt = np.minimum(dt, horizon - t)
                 t = t + dt
             if reach is not None:
-                x, v = _jump_or_step(p, gen, x, dt, reach(x), v, acc, accumulate)
+                x, v = _jump_or_step(p, gens, grp, live, x, dt, reach(x), v, acc, accumulate)
             else:
-                if np.ndim(dt):
-                    x_new = sample_increment(p, dt, gen)
-                else:
-                    x_new = sample_increment(p, dt, gen, size=x.size)
+                sources = [(g, g, k) for g, k in zip(gens, live) if k]
+                x_new = sample_increment(p, dt, sources, size=None if np.ndim(dt) else x.size)
                 x_new += x
                 x = x_new
                 if acc is not None:
@@ -353,15 +374,16 @@ def _walk(
             stopped = stop(x)
             ended = stopped | (t >= horizon) if timed else stopped
             if np.any(ended):
-                record(x[ended], None if acc is None else acc[ended], it + 1, stopped[ended])
+                live -= record(slot, grp[ended], x[ended], it + 1,
+                               None if acc is None else acc[ended], stopped[ended])
                 keep = ~ended
-                x = x[keep]
+                x, grp = x[keep], grp[keep]
                 if timed:
                     t = t[keep]
                 if acc is not None:
                     acc, v = acc[keep], v[keep]
         if x.size:
-            record(x, acc, max_steps, False)
+            record(slot, grp, x, max_steps, acc, False)
     return out
 
 
@@ -398,7 +420,7 @@ def passage_overshoot_samples(
     al = p.alpha
     coef = base_step / 0.1 ** al
     ends = _walk(
-        p, x0, n_paths, rng, batch,
+        p, _batches(x0, n_paths, rng, batch), batch,
         lambda x: coef * (x - level) ** al,
         lambda x: x <= level,
         horizon=horizon, max_steps=max_steps,
@@ -416,10 +438,7 @@ def strip_entry_samples(
     rng=0,
     *,
     sigma: SigmaFunction | None = None,
-    base_step: float = 1e-3,
-    step_coef: float = 3e-3,
-    horizon: float = 1e5,
-    max_steps: int = 5_000_000,
+    **kernel_kwargs,
 ) -> dict:
     """First entry of the open strip (-a, a) from |x0| > a.
 
@@ -428,22 +447,12 @@ def strip_entry_samples(
     (i.e. the entry time of the coefficient process Z), otherwise it is the
     driving time.  Paths that have not entered by the horizon are counted in
     `missed` (for alpha < 1 the strip is transient, so a positive fraction
-    never enters).
+    never enters).  kernel_kwargs are ``_strip_walk``'s knobs.
     """
     a = float(half_width)
     if abs(x0) <= a:
         raise OutOfRangeError("start must be outside the strip")
-    al = p.alpha
-    if sigma is None:
-        clock = _left_endpoint(lambda x: 1.0)
-    else:
-        clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
-    ends = _walk(
-        p, x0, n_paths, rng, 25_000,
-        lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
-        lambda x: np.abs(x) < a,
-        accumulate=clock, horizon=horizon, max_steps=max_steps,
-    )
+    ends = _strip_walk(p, _batches(x0, n_paths, rng, 25_000), a, sigma, **kernel_kwargs)
     entered = ends.stopped
     positions = ends.x[entered]
     return {
@@ -453,6 +462,18 @@ def strip_entry_samples(
         "n_paths": n_paths,
         "entry_fraction": positions.size / n_paths,
     }
+
+
+def _strip_walk(p, groups, a, sigma, *, base_step=1e-3, step_coef=3e-3, horizon=1e5,
+                max_steps=5_000_000) -> _Ends:
+    """``strip_entry_samples``'s walk of groups into (-a, a), the one copy of its rule."""
+    al = p.alpha
+    if sigma is None:
+        clock = _left_endpoint(lambda x: 1.0)
+    else:
+        clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
+    return _walk(p, groups, 25_000, lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
+                 lambda x: np.abs(x) < a, accumulate=clock, horizon=horizon, max_steps=max_steps)
 
 
 def origin_kill_occupation(
@@ -506,7 +527,7 @@ def origin_kill_occupation(
         return np.minimum(np.abs(x) - kill_eps, np.maximum(np.maximum(w0 - x, x - w1), 0.0))
 
     ends = _walk(
-        p, x0, n_paths, rng, 20_000, step, lambda x: np.abs(x) <= kill_eps,
+        p, _batches(x0, n_paths, rng, 20_000), 20_000, step, lambda x: np.abs(x) <= kill_eps,
         accumulate=_trapezoid(weight),
         reach=reach if p.sidedness is Sidedness.TWO_SIDED else None,
         max_steps=max_steps,
@@ -544,7 +565,7 @@ def interval_exit_occupation(
     if not (lo < x0 < hi):
         raise OutOfRangeError("start must be inside the interval")
     ends = _walk(
-        p, x0, n_paths, rng, batch,
+        p, _batches(x0, n_paths, rng, batch), batch,
         lambda x: float(step),
         lambda x: (x <= lo) | (x >= hi),
         accumulate=None if weight is None else _left_endpoint(
@@ -594,7 +615,7 @@ def exit_interval_samples(
         return (x <= lo) | (x >= hi)
 
     stop = outside if kill_eps is None else (lambda x: outside(x) | (np.abs(x) <= kill_eps))
-    ends = _walk(p, x0, n_paths, rng, 25_000, step, stop, max_steps=max_steps)
+    ends = _walk(p, _batches(x0, n_paths, rng, 25_000), 25_000, step, stop, max_steps=max_steps)
     if not np.all(ends.stopped):
         raise RuntimeError("interval exit did not complete within max_steps")
     exited = outside(ends.x)
@@ -696,12 +717,16 @@ def occupation_potential_lemma(
     k_cap = int(round(a / step))
     nodes = _hitting_grid()
     # --- stage 1: h_a on the grid; a lane that has not exited within k_cap
-    # steps counts as a miss however it goes on, so no lane walks past k_cap
-    h_hat = np.empty(nodes.size)
-    for j, y in enumerate(nodes):
-        ends = _walk(p, float(y), grid_paths, _keyed(rng, 1000 + j), grid_paths,
-                     lambda x: step, lambda x: (x <= lo) | (x >= hi), max_steps=k_cap)
-        h_hat[j] = np.mean(ends.stopped)
+    # steps counts as a miss however it goes on, so no lane walks past k_cap;
+    # the nodes walk side by side, and each loop keeps only its exit counts
+    groups = [g for j, y in enumerate(nodes)
+              for g in _batches(y, grid_paths, _keyed(rng, 1000 + j), grid_paths)]
+    exits = []
+    for run in _loops(groups, 25_000):
+        ends = _walk(p, run, 25_000, lambda x: step, lambda x: (x <= lo) | (x >= hi),
+                     max_steps=k_cap)
+        exits.extend(np.count_nonzero(ends.stopped.reshape(len(run), grid_paths), axis=1))
+    h_hat = np.asarray(exits) / grid_paths
     h_var = h_hat * (1.0 - h_hat) / grid_paths
 
     # --- stage 2: main run accumulating both sides on the same paths
@@ -763,17 +788,17 @@ def entrance_proxy(
     if len(admissible) < 2:
         raise OutOfRangeError("need at least two starts outside the strip")
     admissible = sorted(admissible, key=abs)
-    medians = []
-    for j, x0 in enumerate(admissible):
-        res = strip_entry_samples(
-            p, float(x0), level, n_paths, rng=_keyed(rng, 2000 + j),
-            sigma=s, **kernel_kwargs,
-        )
-        if res["clocks"].size < MIN_KS_SAMPLES:
-            raise TooFewSamplesError(
-                f"only {res['clocks'].size} entries from start {x0}"
-            )
-        medians.append(float(np.median(res["clocks"])))
+    groups = [g for j, x0 in enumerate(admissible)
+              for g in _batches(x0, n_paths, _keyed(rng, 2000 + j), 25_000)]
+    ends = _strip_walk(p, groups, float(level), s, **kernel_kwargs)
+    medians, missed = [], []
+    for x0, entered, clocks in zip(admissible, ends.stopped.reshape(-1, n_paths),
+                                   ends.acc.reshape(-1, n_paths)):
+        clocks = clocks[entered]
+        if clocks.size < MIN_KS_SAMPLES:
+            raise TooFewSamplesError(f"only {clocks.size} entries from start {x0}")
+        missed.append(n_paths - clocks.size)
+        medians.append(float(np.median(clocks)))
     medians_arr = np.asarray(medians)
     if expect == "stabilize":
         ref = medians_arr[-1]
@@ -787,5 +812,6 @@ def entrance_proxy(
         "starts": [float(x) for x in admissible],
         "skipped_degenerate_starts": [float(x) for x in skipped],
         "medians": [float(v) for v in medians],
+        "missed": missed,
         "expect": expect,
     })

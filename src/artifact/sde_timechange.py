@@ -20,6 +20,7 @@ and within quadrature drift in time.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
 from .stable_core import (
-    OutOfRangeError, Path, StableParams, _cms, _keyed, _retimed, _seed_of,
+    OutOfRangeError, Path, StableParams, _draws, _keyed, _retimed, _seed_of, _skip,
 )
 
 __all__ = [
@@ -56,6 +57,7 @@ class HitZeroError(ValueError):
 
 _BETA_CLAMP = 1e-12
 _ROWS = 64  # paths per row block of a batch: a block's temporaries stay in cache
+_MAX_GRID = 10 ** 5  # explosion grid points; the default grid has 736
 
 
 @dataclass
@@ -166,6 +168,9 @@ def _explosion_grid(horizon: float, head_step: float, growth: float) -> np.ndarr
         raise OutOfRangeError("the explosion grid needs growth > 1, head_step > 0 and 0 < "
                               f"horizon < inf, got {growth}, {head_step}, {horizon}")
     head_end = min(2.0, horizon)
+    size = head_end / head_step + max(math.log(horizon / head_end), 0.0) / math.log(growth)
+    if size > _MAX_GRID:
+        raise OutOfRangeError(f"the explosion grid would hold {size:.4g} > {_MAX_GRID} points")
     ts = [np.arange(0.0, head_end, head_step)]
     if horizon > head_end:
         t, tail = head_end, []
@@ -185,7 +190,7 @@ def explosion_estimate(
     x0: float,
     horizon: float,
     n_paths: int,
-    rng: int | np.random.Generator = 0,
+    rng: int = 0,
     head_step: float = 5e-3,
     growth: float = 1.04,
     batch: int = 10_000,
@@ -198,23 +203,25 @@ def explosion_estimate(
     power at the self-similar scale X_t ~ t^{1/alpha}, so a geometric tail
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
 
-    Memory: one buffer of batch * (len(grid) - 1) floats for each batch's
-    uniforms in turn, plus one block of ``_ROWS`` paths' temporaries.
+    Memory: one block of ``_ROWS`` paths' draws and temporaries; no batch
+    buffer.  Streams are read by position, so rng must be an integer seed.
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
     if batch < 1:
         raise OutOfRangeError("batch must be at least 1")
     ts = _explosion_grid(horizon, head_step, growth)
+    if not isinstance(rng, (int, np.integer)):
+        raise OutOfRangeError(f"explosion_estimate needs an integer seed, got {type(rng).__name__}")
     dts = np.diff(ts)
     alpha = p.alpha
     k_decade = int(np.searchsorted(ts, horizon / 10.0))
     samples = np.empty(n_paths)
     flags = np.empty(n_paths, dtype=bool)
-    u, done = np.empty(min(batch, n_paths) * dts.size), 0
+    done = 0
     for bi, first in enumerate(range(0, n_paths, batch)):
         m = min(batch, n_paths - first)
-        for incs in sample_increments_matrix(p, dts, m, _keyed(rng, bi), u):
+        for incs in sample_increments_matrix(p, dts, m, _keyed(rng, bi)):
             rows = slice(done, done + len(incs))
             done = rows.stop
             x = np.empty((len(incs), ts.size))
@@ -234,24 +241,21 @@ def explosion_estimate(
 
 
 def sample_increments_matrix(
-    p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator, u: np.ndarray
+    p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Row blocks, in order, of an (m, len(dts)) matrix of independent
     increments, column k over dts[k].
 
-    The stream is ``_standard_draws``'s for m * len(dts) draws: all the
-    uniforms, drawn into the head of the buffer u, then the exponentials of
-    each block of ``_ROWS`` rows (none at alpha = 1).  Each block is a view of u.
+    The stream is ``_standard_draws``'s for m * len(dts) draws from the Philox
+    stream gen, read by position in blocks of ``_ROWS`` rows: uniforms from a
+    copy of gen, exponentials (none at alpha = 1) from gen skipped past them.
     """
-    uniforms, block = u[: m * dts.size], _ROWS * dts.size
-    gen.random(out=uniforms)  # uniform(-pi/2, pi/2) bit for bit, without a copy
-    uniforms *= math.pi
-    uniforms += -math.pi / 2.0
+    total, block = m * dts.size, _ROWS * dts.size
+    uniforms = copy.deepcopy(gen)
+    exponentials = _skip(gen, total)
     scale = dts ** (1.0 / p.alpha)
-    for i in range(0, uniforms.size, block):
-        ub = uniforms[i : i + block]
-        w = None if p.alpha == 1.0 else gen.standard_exponential(size=ub.size)
-        draws = _cms(p, ub, w).reshape(-1, dts.size)
+    for i in range(0, total, block):
+        draws = _draws(p, [(uniforms, exponentials, min(block, total - i))]).reshape(-1, dts.size)
         draws *= scale
         yield draws
 

@@ -49,8 +49,9 @@ scaling by ``dt^{1/alpha}`` is done in place.
 
 Stream contract: n draws of X_1 consume n uniforms, then n exponentials
 (none at alpha = 1), and one transform ``_cms`` maps them to X_1.
-``_standard_draws`` draws both whole; ``sde_timechange`` draws a batch's
-exponentials block by block after its uniforms, with the same numbers.
+``_draws`` reads (uniform cursor, exponential cursor, n) sources: ``_walk`` one
+per group of lanes, ``sde_timechange`` a copy of a stream and the stream
+``_skip``-ped past its uniforms, block by block; each reads the same numbers.
 
 Random streams are counter-based (Philox) and splittable: ``stream(seed,
 *key)`` yields independent generators for distinct keys, which is how the
@@ -252,9 +253,28 @@ def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.nda
     """n i.i.d. copies of X_1: n uniforms, then n exponentials (none at
     alpha = 1), through _cms.  The returned array is a fresh buffer that the
     caller owns and may scale in place."""
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    w = None if p.alpha == 1.0 else rng.standard_exponential(size=n)
-    return _cms(p, u, w)
+    return _draws(p, [(rng, rng, n)])
+
+
+def _draws(p: StableParams, sources) -> np.ndarray:
+    """The draws of each source (uniform cursor, exponential cursor, n) end to
+    end: every uniform, then every exponential, then one _cms; a fresh buffer
+    (one source's arrays are used as they are, several are joined)."""
+    u = [cur.uniform(-math.pi / 2.0, math.pi / 2.0, size=n) for cur, _, n in sources]
+    w = [None] if p.alpha == 1.0 else [cur.standard_exponential(size=n) for _, cur, n in sources]
+    return _cms(p, *(a[0] if len(a) == 1 else np.concatenate(a) for a in (u, w)))
+
+
+def _skip(gen: np.random.Generator, n: int) -> np.random.Generator:
+    """The Philox stream gen moved past n doubles without drawing them: its
+    buffer is drained first, because advance() discards it."""
+    bits = gen.bit_generator
+    k = min(n, 4 - bits.state["buffer_pos"])
+    bits.random_raw(k)
+    if n > k:
+        bits.advance((n - k) // 4)
+        bits.random_raw((n - k) % 4)
+    return gen
 
 
 def _cms(p: StableParams, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -287,25 +307,20 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
 
     dt may be a positive scalar (with ``size`` draws) or an array of
     positive step lengths (one draw per entry).  Self-similarity:
-    X_{t+dt} - X_t  =law=  dt^{1/alpha} X_1.
+    X_{t+dt} - X_t  =law=  dt^{1/alpha} X_1.  rng may also be a list of ``_draws`` sources.
     """
-    gen = _keyed(rng)
     dt_arr = np.asarray(dt, dtype=float)
     # a NaN makes min() NaN, which fails the comparison like any bad step
     if dt_arr.size and not (dt_arr.min() >= 0.0 and dt_arr.max() < math.inf):
         raise OutOfRangeError("step lengths must be finite and nonnegative")
-    if dt_arr.ndim == 0:
-        n = 1 if size is None else int(size)
-        draws = _standard_draws(p, gen, n)
-        draws *= dt_arr ** (1.0 / p.alpha)
-        if size is None:
-            return float(draws[0])
-        return draws
-    if size is not None:
+    if dt_arr.ndim and size is not None:
         raise ValueError("size applies only to scalar dt")
-    draws = _standard_draws(p, gen, dt_arr.size).reshape(dt_arr.shape)
+    if not isinstance(rng, list):
+        gen = _keyed(rng)
+        rng = [(gen, gen, dt_arr.size if dt_arr.ndim else 1 if size is None else int(size))]
+    draws = _draws(p, rng).reshape(dt_arr.shape or -1)
     draws *= dt_arr ** (1.0 / p.alpha)
-    return draws
+    return float(draws[0]) if dt_arr.ndim == 0 and size is None else draws
 
 
 def _upward_exit_probability(p: StableParams) -> float:

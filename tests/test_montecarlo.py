@@ -211,7 +211,7 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
     p = StableParams(1.2, 0.5)
     y, step, k_cap, n = 0.8, 2e-3, 250, 500
     full = mc.interval_exit_occupation(p, y, -1.0, 1.0, step, n, rng=stream(7, 1003), batch=n)
-    ends = mc._walk(p, y, n, stream(7, 1003), n, lambda x: step,
+    ends = mc._walk(p, mc._batches(y, n, stream(7, 1003), n), n, lambda x: step,
                     lambda x: (x <= -1.0) | (x >= 1.0), max_steps=k_cap)
     s = int(np.sum(ends.stopped))
     assert 0 < s < n
@@ -219,6 +219,79 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
     assert np.all(full["steps"][:s] <= k_cap) and np.all(full["steps"][s:] > k_cap)
     np.testing.assert_array_equal(ends.steps[:s], full["steps"][:s])
     np.testing.assert_array_equal(ends.x[:s], full["exit_positions"][:s])
+
+
+def _strip_case():
+    # the entrance walk: strip step and stop, trapezoid clock, finite horizon
+    p, sigma = StableParams(1.5, 0.5), parse_sigma_spec("power:c=1,theta=2")
+    clock = mc._trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** -1.5)
+    return p, (lambda x: 1e-3 + 3e-3 * (np.abs(x) - 10.0) ** 1.5, lambda x: np.abs(x) < 10.0), \
+        dict(accumulate=clock, horizon=50.0, max_steps=5000)
+
+
+def _capped_case():
+    # the lemma's h-grid walk: a fixed step, capped at 250 steps
+    return StableParams(1.2, 0.5), (lambda x: 2e-3, lambda x: (x <= -1.0) | (x >= 1.0)), \
+        dict(max_steps=250)
+
+
+def _cauchy_case():
+    p = StableParams(1.0, 0.5)
+    return p, (lambda x: 1e-3 + 3e-3 * np.abs(x), lambda x: np.abs(x) >= 1.0), \
+        dict(accumulate=mc._left_endpoint(np.abs), max_steps=3000)
+
+
+def _reach_case():
+    # the occupation walk: jumps by reach, a trapezoid sum, no horizon
+    return StableParams(1.5, 0.6), (
+        lambda x: np.clip(3e-3 * np.abs(x) ** 1.5, 1e-6, 0.05), lambda x: np.abs(x) <= 1e-3), \
+        dict(accumulate=mc._trapezoid(lambda z: np.where((z >= 1.0) & (z <= 2.0), 1.0, 0.0)),
+             reach=_window_reach, max_steps=400)
+
+
+@pytest.mark.parametrize("case, starts, budget, shared", [
+    (_capped_case, (0.8, -0.95, 0.0), 1000, False),
+    (_strip_case, (12.0, -30.0, 100.0), 1000, False),
+    (_cauchy_case, (0.5, -0.2), 1000, False),
+    (_reach_case, (0.5, 3.0, -0.7), 1000, False),
+    (_capped_case, (0.8, -0.95, 0.0), 500, False),  # loops of two groups, then one
+    (_capped_case, (0.8, -0.95, 0.0), 1000, True),  # one Generator: a loop each
+], ids=["capped", "strip", "alpha_1", "reach", "two_loops", "one_generator"])
+def test_packed_walk_equals_a_walk_per_group(monkeypatch, case, starts, budget, shared):
+    # groups walked side by side end exactly where each walked alone ends,
+    # with the same steps, stop flags and sums, group by group
+    p, (step, stop), kw = case()
+    calls = []
+    draw = mc.sample_increment
+    monkeypatch.setattr(mc, "sample_increment", lambda *a, **k: calls.append(1) or draw(*a, **k))
+
+    def groups():
+        one = stream(11, 0)
+        return [(x0, 200 + 50 * j, one if shared else stream(11, j))
+                for j, x0 in enumerate(starts)]
+
+    packed = mc._walk(p, groups(), budget, step, stop, **kw)
+    n_packed = len(calls)
+    alone = [mc._walk(p, [g], budget, step, stop, **kw) for g in groups()]
+    for name in ("x", "steps", "stopped", "acc"):
+        parts = [getattr(e, name) for e in alone]
+        got = getattr(packed, name)
+        if parts[0] is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, np.concatenate(parts))
+    assert packed.stopped.any() and not packed.stopped.all()
+    if shared:
+        assert n_packed == len(calls) - n_packed
+    else:
+        assert n_packed < len(calls) - n_packed
+
+
+def test_loops_keep_groups_whole_and_streams_apart():
+    a, b = stream(0, 0), stream(0, 1)
+    groups = [(0.0, 3, a), (0.0, 4, b), (0.0, 9, a), (0.0, 2, b), (0.0, 1, a)]
+    assert [[g[1] for g in run] for run in mc._loops(groups, 8)] == [[3, 4], [9], [2, 1]]
+    assert [[g[1] for g in run] for run in mc._loops(groups, 100)] == [[3, 4], [9, 2], [1]]
 
 
 def _lemma_without_walks(**kwargs):
@@ -312,7 +385,7 @@ def test_occupation_jumps_only_for_two_sided_drivers(monkeypatch, rho, jumps):
 
 def test_walk_reach_refuses_a_clock():
     with pytest.raises(OutOfRangeError, match="infinite horizon"):
-        mc._walk(StableParams(1.5, 0.5), 0.5, 10, 0, 10, lambda x: 1e-3,
+        mc._walk(StableParams(1.5, 0.5), mc._batches(0.5, 10, 0, 10), 10, lambda x: 1e-3,
                  lambda x: np.abs(x) > 1.0, reach=lambda x: 1.0 - np.abs(x),
                  horizon=1.0, max_steps=10)
 
@@ -334,7 +407,8 @@ def test_trapezoid_carries_the_integrand_from_step_to_step(reach):
         return np.where((z >= 1.0) & (z <= 2.0), (1.0 + z * z) ** -0.75, 0.0)
 
     def walk(accumulate):
-        return mc._walk(p, 0.5, n, 3, 150, lambda x: np.clip(3e-3 * np.abs(x) ** 1.5, 1e-6, 0.05),
+        return mc._walk(p, mc._batches(0.5, n, 3, 150), 150,
+                        lambda x: np.clip(3e-3 * np.abs(x) ** 1.5, 1e-6, 0.05),
                         lambda x: np.abs(x) <= 1e-3, accumulate=accumulate, reach=reach,
                         max_steps=400)
 
@@ -414,6 +488,7 @@ def test_entrance_proxy_rejects_expect_before_any_walk(monkeypatch):
         raise AssertionError("strip_entry_samples ran before expect was checked")
 
     monkeypatch.setattr(mc, "strip_entry_samples", refuse)
+    monkeypatch.setattr(mc, "_strip_walk", refuse)  # the walk entrance_proxy runs
     with pytest.raises(OutOfRangeError, match="expect"):
         mc.entrance_proxy(StableParams(1.5, 0.5), parse_sigma_spec("power:c=1,theta=2"),
                           level=10.0, starts=(100.0, 1000.0), n_paths=800, rng=0,
@@ -428,6 +503,20 @@ def test_entrance_proxy_diverges_for_constant_sigma():
     assert out.passed
     m = out.extras["medians"]
     assert m[1] / m[0] >= 2.0
+
+
+def test_entrance_proxy_counts_missed_paths_per_start():
+    # the starts walk side by side; each start's entries and misses are those
+    # of the strip kernel on the start's own stream
+    p, s = StableParams(1.5, 0.5), parse_sigma_spec("power:c=1,theta=2")
+    out = mc.entrance_proxy(p, s, level=10.0, starts=(1000.0, 100.0), n_paths=800, rng=0,
+                            horizon=1e5)
+    for j, x0 in enumerate((100.0, 1000.0)):
+        res = mc.strip_entry_samples(p, x0, 10.0, 800, rng=stream(0, 2000 + j), sigma=s,
+                                     horizon=1e5)
+        assert out.extras["missed"][j] == res["missed"]
+        assert out.extras["medians"][j] == float(np.median(res["clocks"]))
+    assert out.extras["missed"][1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,7 @@ class _NoSeed:
 
 @pytest.mark.parametrize("grid", [
     dict(growth=1.0, horizon=1e3),  # the geometric tail would never reach the horizon
+    dict(growth=1.0 + 1e-6),  # about 6.2 million points
     dict(growth=0.5),
     dict(growth=math.nan),
     dict(head_step=0.0),
@@ -163,6 +164,13 @@ def test_explosion_estimate_rejects_a_bad_grid_before_any_draw(grid):
                            n_paths=10, rng=_NoSeed(), **grid)
 
 
+def test_explosion_estimate_takes_an_integer_seed_only():
+    # each batch's stream is read by position, which only Philox supports
+    with pytest.raises(OutOfRangeError, match="integer seed"):
+        explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=0.0,
+                           horizon=1e3, n_paths=10, rng=np.random.default_rng(0))
+
+
 def test_explosion_plateau_flags_match_time_change_solve():
     # one plateau rule: a batch-0 driver of the estimator is flagged exactly
     # when time_change_solve on the same grid reports it exploded
@@ -173,7 +181,7 @@ def test_explosion_plateau_flags_match_time_change_solve():
     ts = _explosion_grid(horizon, 5e-3, 1.04)
     dts = np.diff(ts)
     incs = np.concatenate(list(
-        sample_increments_matrix(p, dts, n, stream(0, 0), np.empty(n * dts.size))))
+        sample_increments_matrix(p, dts, n, stream(0, 0))))
     drivers = np.concatenate((np.zeros((n, 1)), np.cumsum(incs, axis=1)), axis=1)
     exploded = []
     for values in drivers:
@@ -274,6 +282,21 @@ def test_explosion_batches_hold_one_matrix(p):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix_bytes, peak / matrix_bytes
+
+
+def test_explosion_batches_hold_no_matrix():
+    # each batch is read from its stream block by block: no (m, len(ts) - 1)
+    # buffer of uniforms or of anything else exists
+    p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 8000
+    matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    tracemalloc.start()
+    try:
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=m, rng=0, batch=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * matrix_bytes, peak / matrix_bytes
 
 
 # ---------------------------------------------------------------------------

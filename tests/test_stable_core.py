@@ -24,7 +24,7 @@ from artifact import (
     sample_path_at,
     stream,
 )
-from artifact.stable_core import _standard_draws, _upward_exit_probability
+from artifact.stable_core import _draws, _skip, _standard_draws, _upward_exit_probability
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,37 @@ def test_stream_reproducible_and_keyed():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("start", range(9))
+def test_skip_equals_drawing_from_every_buffer_position(start):
+    # Philox hands out its 64-bit words four at a time; a skip must drain the
+    # block a generator is in the middle of before advance() drops it
+    for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 1001, 123_457):
+        drawn, skipped = stream(5, start), stream(5, start)
+        drawn.random(start)
+        skipped.random(start)
+        drawn.random(n)
+        assert _skip(skipped, n) is skipped
+        np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
+        np.testing.assert_array_equal(skipped.standard_exponential(20),
+                                      drawn.standard_exponential(20))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_draws_from_cursors_are_each_streams_own(alpha):
+    # a uniform cursor and an exponential cursor skipped past the uniforms
+    # read a stream's draws block by block; sources on distinct streams
+    # concatenate their own draws
+    p, n = StableParams(alpha, 0.5), 1000
+    whole = _standard_draws(p, stream(3, 1), n)
+    u, w = stream(3, 1), _skip(stream(3, 1), n)
+    blocks = [_draws(p, [(u, w, k)]) for k in (300, 1, 699)]
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    other = _standard_draws(p, stream(3, 2), 7)
+    a, b = stream(3, 1), stream(3, 2)
+    np.testing.assert_array_equal(_draws(p, [(a, a, n), (b, b, 7)]),
+                                  np.concatenate((whole, other)))
 
 
 def test_sample_path_deterministic_in_seed():
