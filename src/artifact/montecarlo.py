@@ -250,18 +250,18 @@ def _left_endpoint(g):
 
 
 def _batches(x0, n_paths: int, rng, batch: int) -> list:
-    """n_paths lanes from x0 as groups (x0, lanes, _keyed(rng, bi)) of up to ``batch`` lanes."""
+    """n_paths lanes from x0, a ``_walk`` run per batch: the group (x0, lanes, _keyed(rng, bi))."""
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
     if batch < 1:
         raise OutOfRangeError("batch must be at least 1")
-    return [(float(x0), min(batch, n_paths - first), _keyed(rng, bi))
+    return [[(float(x0), min(batch, n_paths - first), _keyed(rng, bi))]
             for bi, first in enumerate(range(0, n_paths, batch))]
 
 
 def _loops(groups, budget: int):
-    """Runs of consecutive groups, one ``_walk`` loop each: whole groups while their lanes
-    fit in ``budget`` (a larger one alone), never two on the same Generator object."""
+    """``_walk`` runs of consecutive groups: whole groups while their lanes fit in
+    ``budget`` (a larger one alone), never two on the same Generator object."""
     run = []
     for g in groups:
         if run and (sum(h[1] for h in run) + g[1] > budget or any(g[2] is h[2] for h in run)):
@@ -272,9 +272,8 @@ def _loops(groups, budget: int):
 
 
 def _jump_or_step(p, gens, grp, live, x, dt, r, v, acc, accumulate):
-    """One iteration of ``_walk`` with a reach r per lane: (x_new, v_new),
-    where v_new is what each lane carries at x_new (None without a sum).
-    Lane i draws from gens[grp[i]]; live counts each group's lanes."""
+    """One iteration of ``_walk`` with a reach r per lane: (x_new, v_new), where v_new is
+    what each lane carries at x_new (None without a sum).  Lane i draws from gens[grp[i]]."""
     dt = np.broadcast_to(dt, x.shape)
     jump = r >= dt ** (1.0 / p.alpha)
     x_new = np.empty_like(x)
@@ -296,8 +295,7 @@ def _jump_or_step(p, gens, grp, live, x, dt, r, v, acc, accumulate):
 
 def _walk(
     p: StableParams,
-    groups,
-    budget: int,
+    runs,
     step,
     stop,
     *,
@@ -306,8 +304,8 @@ def _walk(
     horizon: float = math.inf,
     max_steps: int,
 ) -> _Ends:
-    """Step the lanes of groups (x0, lanes, stream), in the loops of
-    ``_loops(groups, budget)``, each group on its own stream.
+    """Step the lanes of each run (a list of groups (x0, lanes, stream)) in
+    one loop, each group on its own stream.
 
     Each iteration takes dt = step(x) (a scalar or one length per lane,
     capped by the time left under a finite horizon), draws one increment per
@@ -327,7 +325,7 @@ def _walk(
     timed = math.isfinite(horizon)
     if reach is not None and timed:
         raise OutOfRangeError("jumps carry no clock: reach needs an infinite horizon")
-    sizes = np.array([g[1] for g in groups])
+    sizes = np.array([g[1] for run in runs for g in run])
     n = int(sizes.sum())
     out = _Ends(np.empty(n), np.empty(n, dtype=np.int64),
                 None if accumulate is None else np.empty(n), np.empty(n, dtype=bool))
@@ -343,10 +341,10 @@ def _walk(
         slot += ended
         return ended
 
-    for run in _loops(groups, budget):
+    for run in runs:
         gens = [g[2] for g in run]
         slot, slots = slots[: len(run)], slots[len(run) :]  # views: record moves slots
-        live = np.array([g[1] for g in run])
+        live = np.array([g[1] for g in run])  # lanes still walking, per group
         grp = np.repeat(np.arange(len(run)), live)
         x = np.repeat([g[0] for g in run], live)
         t = np.zeros(x.size) if timed else None
@@ -420,7 +418,7 @@ def passage_overshoot_samples(
     al = p.alpha
     coef = base_step / 0.1 ** al
     ends = _walk(
-        p, _batches(x0, n_paths, rng, batch), batch,
+        p, _batches(x0, n_paths, rng, batch),
         lambda x: coef * (x - level) ** al,
         lambda x: x <= level,
         horizon=horizon, max_steps=max_steps,
@@ -438,7 +436,10 @@ def strip_entry_samples(
     rng=0,
     *,
     sigma: SigmaFunction | None = None,
-    **kernel_kwargs,
+    base_step: float = 1e-3,
+    step_coef: float = 3e-3,
+    horizon: float = 1e5,
+    max_steps: int = 5_000_000,
 ) -> dict:
     """First entry of the open strip (-a, a) from |x0| > a.
 
@@ -447,12 +448,13 @@ def strip_entry_samples(
     (i.e. the entry time of the coefficient process Z), otherwise it is the
     driving time.  Paths that have not entered by the horizon are counted in
     `missed` (for alpha < 1 the strip is transient, so a positive fraction
-    never enters).  kernel_kwargs are ``_strip_walk``'s knobs.
+    never enters).
     """
     a = float(half_width)
     if abs(x0) <= a:
         raise OutOfRangeError("start must be outside the strip")
-    ends = _strip_walk(p, _batches(x0, n_paths, rng, 25_000), a, sigma, **kernel_kwargs)
+    ends = _strip_walk(p, _batches(x0, n_paths, rng, 25_000), a, sigma, base_step=base_step,
+                       step_coef=step_coef, horizon=horizon, max_steps=max_steps)
     entered = ends.stopped
     positions = ends.x[entered]
     return {
@@ -464,15 +466,17 @@ def strip_entry_samples(
     }
 
 
-def _strip_walk(p, groups, a, sigma, *, base_step=1e-3, step_coef=3e-3, horizon=1e5,
-                max_steps=5_000_000) -> _Ends:
-    """``strip_entry_samples``'s walk of groups into (-a, a), the one copy of its rule."""
+_STRIP_DEFAULTS = strip_entry_samples.__kwdefaults__  # read once, from the function itself
+
+
+def _strip_walk(p, runs, a, sigma, *, base_step, step_coef, horizon, max_steps) -> _Ends:
+    """``strip_entry_samples``'s walk of runs into (-a, a), the one copy of its rule."""
     al = p.alpha
     if sigma is None:
         clock = _left_endpoint(lambda x: 1.0)
     else:
         clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
-    return _walk(p, groups, 25_000, lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
+    return _walk(p, runs, lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
                  lambda x: np.abs(x) < a, accumulate=clock, horizon=horizon, max_steps=max_steps)
 
 
@@ -527,7 +531,7 @@ def origin_kill_occupation(
         return np.minimum(np.abs(x) - kill_eps, np.maximum(np.maximum(w0 - x, x - w1), 0.0))
 
     ends = _walk(
-        p, _batches(x0, n_paths, rng, 20_000), 20_000, step, lambda x: np.abs(x) <= kill_eps,
+        p, _batches(x0, n_paths, rng, 20_000), step, lambda x: np.abs(x) <= kill_eps,
         accumulate=_trapezoid(weight),
         reach=reach if p.sidedness is Sidedness.TWO_SIDED else None,
         max_steps=max_steps,
@@ -565,7 +569,7 @@ def interval_exit_occupation(
     if not (lo < x0 < hi):
         raise OutOfRangeError("start must be inside the interval")
     ends = _walk(
-        p, _batches(x0, n_paths, rng, batch), batch,
+        p, _batches(x0, n_paths, rng, batch),
         lambda x: float(step),
         lambda x: (x <= lo) | (x >= hi),
         accumulate=None if weight is None else _left_endpoint(
@@ -615,7 +619,7 @@ def exit_interval_samples(
         return (x <= lo) | (x >= hi)
 
     stop = outside if kill_eps is None else (lambda x: outside(x) | (np.abs(x) <= kill_eps))
-    ends = _walk(p, _batches(x0, n_paths, rng, 25_000), 25_000, step, stop, max_steps=max_steps)
+    ends = _walk(p, _batches(x0, n_paths, rng, 25_000), step, stop, max_steps=max_steps)
     if not np.all(ends.stopped):
         raise RuntimeError("interval exit did not complete within max_steps")
     exited = outside(ends.x)
@@ -720,11 +724,10 @@ def occupation_potential_lemma(
     # steps counts as a miss however it goes on, so no lane walks past k_cap;
     # the nodes walk side by side, and each loop keeps only its exit counts
     groups = [g for j, y in enumerate(nodes)
-              for g in _batches(y, grid_paths, _keyed(rng, 1000 + j), grid_paths)]
+              for [g] in _batches(y, grid_paths, _keyed(rng, 1000 + j), grid_paths)]
     exits = []
     for run in _loops(groups, 25_000):
-        ends = _walk(p, run, 25_000, lambda x: step, lambda x: (x <= lo) | (x >= hi),
-                     max_steps=k_cap)
+        ends = _walk(p, [run], lambda x: step, lambda x: (x <= lo) | (x >= hi), max_steps=k_cap)
         exits.extend(np.count_nonzero(ends.stopped.reshape(len(run), grid_paths), axis=1))
     h_hat = np.asarray(exits) / grid_paths
     h_var = h_hat * (1.0 - h_hat) / grid_paths
@@ -789,8 +792,9 @@ def entrance_proxy(
         raise OutOfRangeError("need at least two starts outside the strip")
     admissible = sorted(admissible, key=abs)
     groups = [g for j, x0 in enumerate(admissible)
-              for g in _batches(x0, n_paths, _keyed(rng, 2000 + j), 25_000)]
-    ends = _strip_walk(p, groups, float(level), s, **kernel_kwargs)
+              for [g] in _batches(x0, n_paths, _keyed(rng, 2000 + j), 25_000)]
+    ends = _strip_walk(p, list(_loops(groups, 25_000)), float(level),
+                       **dict(_STRIP_DEFAULTS, sigma=s, **kernel_kwargs))
     medians, missed = [], []
     for x0, entered, clocks in zip(admissible, ends.stopped.reshape(-1, n_paths),
                                    ends.acc.reshape(-1, n_paths)):

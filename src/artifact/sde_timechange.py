@@ -168,9 +168,8 @@ def _explosion_grid(horizon: float, head_step: float, growth: float) -> np.ndarr
         raise OutOfRangeError("the explosion grid needs growth > 1, head_step > 0 and 0 < "
                               f"horizon < inf, got {growth}, {head_step}, {horizon}")
     head_end = min(2.0, horizon)
-    size = head_end / head_step + max(math.log(horizon / head_end), 0.0) / math.log(growth)
-    if size > _MAX_GRID:
-        raise OutOfRangeError(f"the explosion grid would hold {size:.4g} > {_MAX_GRID} points")
+    if head_end / head_step + max(math.log(horizon / head_end), 0.0) / math.log(growth) > _MAX_GRID:
+        raise OutOfRangeError(f"the explosion grid would hold more than {_MAX_GRID} points")
     ts = [np.arange(0.0, head_end, head_step)]
     if horizon > head_end:
         t, tail = head_end, []
@@ -190,7 +189,7 @@ def explosion_estimate(
     x0: float,
     horizon: float,
     n_paths: int,
-    rng: int = 0,
+    rng: int | np.random.Generator = 0,
     head_step: float = 5e-3,
     growth: float = 1.04,
     batch: int = 10_000,
@@ -204,15 +203,13 @@ def explosion_estimate(
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
 
     Memory: one block of ``_ROWS`` paths' draws and temporaries; no batch
-    buffer.  Streams are read by position, so rng must be an integer seed.
+    buffer.  Streams are read by position, so a Generator rng must be Philox.
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
     if batch < 1:
         raise OutOfRangeError("batch must be at least 1")
     ts = _explosion_grid(horizon, head_step, growth)
-    if not isinstance(rng, (int, np.integer)):
-        raise OutOfRangeError(f"explosion_estimate needs an integer seed, got {type(rng).__name__}")
     dts = np.diff(ts)
     alpha = p.alpha
     k_decade = int(np.searchsorted(ts, horizon / 10.0))
@@ -251,8 +248,7 @@ def sample_increments_matrix(
     copy of gen, exponentials (none at alpha = 1) from gen skipped past them.
     """
     total, block = m * dts.size, _ROWS * dts.size
-    uniforms = copy.deepcopy(gen)
-    exponentials = _skip(gen, total)
+    uniforms, exponentials = copy.deepcopy(gen), _skip(gen, total)  # copied, then skipped
     scale = dts ** (1.0 / p.alpha)
     for i in range(0, total, block):
         draws = _draws(p, [(uniforms, exponentials, min(block, total - i))]).reshape(-1, dts.size)

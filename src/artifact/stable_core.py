@@ -257,9 +257,7 @@ def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.nda
 
 
 def _draws(p: StableParams, sources) -> np.ndarray:
-    """The draws of each source (uniform cursor, exponential cursor, n) end to
-    end: every uniform, then every exponential, then one _cms; a fresh buffer
-    (one source's arrays are used as they are, several are joined)."""
+    """Each source's (uniform cursor, exponential cursor, n) draws, end to end: one _cms."""
     u = [cur.uniform(-math.pi / 2.0, math.pi / 2.0, size=n) for cur, _, n in sources]
     w = [None] if p.alpha == 1.0 else [cur.standard_exponential(size=n) for _, cur, n in sources]
     return _cms(p, *(a[0] if len(a) == 1 else np.concatenate(a) for a in (u, w)))
@@ -269,6 +267,8 @@ def _skip(gen: np.random.Generator, n: int) -> np.random.Generator:
     """The Philox stream gen moved past n doubles without drawing them: its
     buffer is drained first, because advance() discards it."""
     bits = gen.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise OutOfRangeError(f"only Philox is read by position, not {type(bits).__name__}")
     k = min(n, 4 - bits.state["buffer_pos"])
     bits.random_raw(k)
     if n > k:

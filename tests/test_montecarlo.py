@@ -211,7 +211,7 @@ def test_capped_walk_is_interval_exit_truncated_at_the_cap():
     p = StableParams(1.2, 0.5)
     y, step, k_cap, n = 0.8, 2e-3, 250, 500
     full = mc.interval_exit_occupation(p, y, -1.0, 1.0, step, n, rng=stream(7, 1003), batch=n)
-    ends = mc._walk(p, mc._batches(y, n, stream(7, 1003), n), n, lambda x: step,
+    ends = mc._walk(p, mc._batches(y, n, stream(7, 1003), n), lambda x: step,
                     lambda x: (x <= -1.0) | (x >= 1.0), max_steps=k_cap)
     s = int(np.sum(ends.stopped))
     assert 0 < s < n
@@ -270,9 +270,9 @@ def test_packed_walk_equals_a_walk_per_group(monkeypatch, case, starts, budget, 
         return [(x0, 200 + 50 * j, one if shared else stream(11, j))
                 for j, x0 in enumerate(starts)]
 
-    packed = mc._walk(p, groups(), budget, step, stop, **kw)
+    packed = mc._walk(p, list(mc._loops(groups(), budget)), step, stop, **kw)
     n_packed = len(calls)
-    alone = [mc._walk(p, [g], budget, step, stop, **kw) for g in groups()]
+    alone = [mc._walk(p, [[g]], step, stop, **kw) for g in groups()]
     for name in ("x", "steps", "stopped", "acc"):
         parts = [getattr(e, name) for e in alone]
         got = getattr(packed, name)
@@ -385,7 +385,7 @@ def test_occupation_jumps_only_for_two_sided_drivers(monkeypatch, rho, jumps):
 
 def test_walk_reach_refuses_a_clock():
     with pytest.raises(OutOfRangeError, match="infinite horizon"):
-        mc._walk(StableParams(1.5, 0.5), mc._batches(0.5, 10, 0, 10), 10, lambda x: 1e-3,
+        mc._walk(StableParams(1.5, 0.5), mc._batches(0.5, 10, 0, 10), lambda x: 1e-3,
                  lambda x: np.abs(x) > 1.0, reach=lambda x: 1.0 - np.abs(x),
                  horizon=1.0, max_steps=10)
 
@@ -407,7 +407,7 @@ def test_trapezoid_carries_the_integrand_from_step_to_step(reach):
         return np.where((z >= 1.0) & (z <= 2.0), (1.0 + z * z) ** -0.75, 0.0)
 
     def walk(accumulate):
-        return mc._walk(p, mc._batches(0.5, n, 3, 150), 150,
+        return mc._walk(p, mc._batches(0.5, n, 3, 150),
                         lambda x: np.clip(3e-3 * np.abs(x) ** 1.5, 1e-6, 0.05),
                         lambda x: np.abs(x) <= 1e-3, accumulate=accumulate, reach=reach,
                         max_steps=400)

@@ -159,16 +159,22 @@ class _NoSeed:
 ])
 def test_explosion_estimate_rejects_a_bad_grid_before_any_draw(grid):
     grid = dict(horizon=1e3) | grid
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match="explosion grid"):
         explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=0.0,
                            n_paths=10, rng=_NoSeed(), **grid)
 
 
-def test_explosion_estimate_takes_an_integer_seed_only():
-    # each batch's stream is read by position, which only Philox supports
-    with pytest.raises(OutOfRangeError, match="integer seed"):
-        explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=0.0,
-                           horizon=1e3, n_paths=10, rng=np.random.default_rng(0))
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_explosion_estimate_reads_a_philox_generator_in_turn(alpha):
+    # each batch's stream is read by position, which only Philox supports; a
+    # Philox Generator is read batch after batch, as one sequential stream
+    p, s = StableParams(alpha, 0.5), PowerTail(1.0, 2.0)
+    est = explosion_estimate(p, s, x0=0.0, horizon=1e3, n_paths=150, rng=stream(3), batch=100)
+    samples, flags = _explosion_reference(p, s, 0.0, 1e3, 150, stream(3), 100)
+    np.testing.assert_array_equal(est.samples, samples)
+    np.testing.assert_array_equal(est.plateaued, flags)
+    with pytest.raises(OutOfRangeError, match="Philox"):
+        explosion_estimate(p, s, x0=0.0, horizon=1e3, n_paths=10, rng=np.random.default_rng(0))
 
 
 def test_explosion_plateau_flags_match_time_change_solve():
@@ -206,14 +212,15 @@ class _ReadOnlySquare(SigmaFunction):
 
 def _explosion_reference(p, s, x0, horizon, n_paths, seed, batch):
     """(samples, plateaued) of explosion_estimate written with one temporary
-    per operation and nothing done in place."""
+    per operation and nothing done in place; seed may be a Generator."""
     ts = _explosion_grid(horizon, 5e-3, 1.04)
     dts = np.diff(ts)
     k = int(np.searchsorted(ts, horizon / 10.0))
     samples, flags = [], []
     for bi, first in enumerate(range(0, n_paths, batch)):
         m = min(batch, n_paths - first)
-        draws = _standard_draws(p, stream(seed, bi), m * dts.size).reshape(m, dts.size)
+        gen = seed if isinstance(seed, np.random.Generator) else stream(seed, bi)
+        draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
         incs = dts ** (1.0 / p.alpha) * draws
         x = np.concatenate((np.full((m, 1), x0), x0 + np.cumsum(incs, axis=1)), axis=1)
         f = np.asarray(s(x), dtype=float) ** (-p.alpha)
