@@ -288,8 +288,8 @@ def _strip_positions(p, n, seed):
 
 
 def _explosion_clock(p, s, n, seed):
-    """n explosion clocks from 0, cut at X-time 1e6, in batches of 5,000 drivers."""
-    return explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed, batch=5000)
+    """n explosion clocks from 0, cut at X-time 1e6, 64 drivers per keyed stream."""
+    return explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=seed)
 
 
 def _explosion_time(p, s, n, seed):

@@ -283,7 +283,7 @@ def _jump_or_step(p, gens, grp, live, x, dt, r, v, acc, accumulate):
         x_new[jump] = x[jump] + r[jump] * np.concatenate(exits)
     steps = ~jump
     if jumps.sum() < x.size:
-        sources = [(g, g, k) for g, k in zip(gens, live - jumps) if k]
+        sources = [(g, k) for g, k in zip(gens, live - jumps) if k]
         x_new[steps] = x[steps] + sample_increment(p, dt[steps], sources)
     if acc is None:
         return x_new, None
@@ -361,7 +361,7 @@ def _walk(
             if reach is not None:
                 x, v = _jump_or_step(p, gens, grp, live, x, dt, reach(x), v, acc, accumulate)
             else:
-                sources = [(g, g, k) for g, k in zip(gens, live) if k]
+                sources = [(g, k) for g, k in zip(gens, live) if k]
                 x_new = sample_increment(p, dt, sources, size=None if np.ndim(dt) else x.size)
                 x_new += x
                 x = x_new

@@ -20,9 +20,7 @@ and within quadrature drift in time.
 
 from __future__ import annotations
 
-import copy
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .sigma_model import SigmaFunction
 from .stable_core import (
-    OutOfRangeError, Path, StableParams, _draws, _keyed, _retimed, _seed_of, _skip,
+    OutOfRangeError, Path, StableParams, _keyed, _retimed, _seed_of, _standard_draws,
 )
 
 __all__ = [
@@ -56,7 +54,9 @@ class HitZeroError(ValueError):
 
 
 _BETA_CLAMP = 1e-12
-_ROWS = 64  # paths per row block of a batch: a block's temporaries stay in cache
+# paths per explosion block, the unit of work (it stays in cache) and of the stream
+# contract: block k reads _keyed(rng, k), so changing _ROWS changes every explosion stream
+_ROWS = 64
 _MAX_GRID = 10 ** 5  # explosion grid points; the default grid has 736
 
 
@@ -117,8 +117,8 @@ def time_change_solve(path: Path, s: SigmaFunction, horizon: float) -> Path:
     falls short while still growing, ExhaustedPathError is raised — simulate
     the driver further.
     """
-    if horizon < 0:
-        raise OutOfRangeError("horizon must be nonnegative")
+    if not horizon >= 0:  # NaN fails too; inf reads the whole path
+        raise OutOfRangeError(f"horizon must be nonnegative, got {horizon}")
     A = additive_functional(path, s)
     meta = dict(path.meta, transform="time_change")
     mask, killed_at = A.cumvals <= horizon, None
@@ -192,7 +192,6 @@ def explosion_estimate(
     rng: int | np.random.Generator = 0,
     head_step: float = 5e-3,
     growth: float = 1.04,
-    batch: int = 10_000,
 ) -> ExplosionEstimate:
     """Sample A_horizon (truncated explosion times) over n_paths drivers.
 
@@ -202,35 +201,33 @@ def explosion_estimate(
     power at the self-similar scale X_t ~ t^{1/alpha}, so a geometric tail
     grid keeps the trapezoid error subordinate to the Monte Carlo error.
 
-    Memory: one block of ``_ROWS`` paths' draws and temporaries; no batch
-    buffer.  Streams are read by position, so a Generator rng must be Philox.
+    Block k of ``_ROWS`` paths draws from ``_keyed(rng, k)`` (a Generator rng
+    is read block after block), so a path does not depend on n_paths; memory
+    holds one block's draws and temporaries.
     """
     if n_paths < 1:
         raise OutOfRangeError("n_paths must be at least 1")
-    if batch < 1:
-        raise OutOfRangeError("batch must be at least 1")
+    if not math.isfinite(x0):
+        raise OutOfRangeError(f"x0 must be finite, got {x0}")
     ts = _explosion_grid(horizon, head_step, growth)
     dts = np.diff(ts)
     alpha = p.alpha
     k_decade = int(np.searchsorted(ts, horizon / 10.0))
     samples = np.empty(n_paths)
     flags = np.empty(n_paths, dtype=bool)
-    done = 0
-    for bi, first in enumerate(range(0, n_paths, batch)):
-        m = min(batch, n_paths - first)
-        for incs in sample_increments_matrix(p, dts, m, _keyed(rng, bi)):
-            rows = slice(done, done + len(incs))
-            done = rows.stop
-            x = np.empty((len(incs), ts.size))
-            x[:, 0] = x0
-            np.cumsum(incs, axis=1, out=x[:, 1:])
-            x[:, 1:] += x0
-            f = np.asarray(s(x), dtype=float) ** (-alpha)  # fresh: sigma's may be read-only
-            a_inc = f[:, 1:] + f[:, :-1]
-            a_inc *= 0.5
-            a_inc *= dts
-            samples[rows] = a_inc.sum(axis=1)
-            flags[rows] = _plateaued(samples[rows], a_inc[:, k_decade:].sum(axis=1))
+    for k, first in enumerate(range(0, n_paths, _ROWS)):
+        rows = slice(first, min(first + _ROWS, n_paths))
+        incs = sample_increments_matrix(p, dts, rows.stop - first, _keyed(rng, k))
+        x = np.empty((len(incs), ts.size))
+        x[:, 0] = x0
+        np.cumsum(incs, axis=1, out=x[:, 1:])
+        x[:, 1:] += x0
+        f = np.asarray(s(x), dtype=float) ** (-alpha)  # fresh: sigma's may be read-only
+        a_inc = f[:, 1:] + f[:, :-1]
+        a_inc *= 0.5
+        a_inc *= dts
+        samples[rows] = a_inc.sum(axis=1)
+        flags[rows] = _plateaued(samples[rows], a_inc[:, k_decade:].sum(axis=1))
     return ExplosionEstimate(
         n_paths=n_paths, horizon=float(horizon), samples=samples,
         plateaued=flags, seed=_seed_of(rng),
@@ -239,21 +236,13 @@ def explosion_estimate(
 
 def sample_increments_matrix(
     p: StableParams, dts: np.ndarray, m: int, gen: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Row blocks, in order, of an (m, len(dts)) matrix of independent
-    increments, column k over dts[k].
-
-    The stream is ``_standard_draws``'s for m * len(dts) draws from the Philox
-    stream gen, read by position in blocks of ``_ROWS`` rows: uniforms from a
-    copy of gen, exponentials (none at alpha = 1) from gen skipped past them.
-    """
-    total, block = m * dts.size, _ROWS * dts.size
-    uniforms, exponentials = copy.deepcopy(gen), _skip(gen, total)  # copied, then skipped
-    scale = dts ** (1.0 / p.alpha)
-    for i in range(0, total, block):
-        draws = _draws(p, [(uniforms, exponentials, min(block, total - i))]).reshape(-1, dts.size)
-        draws *= scale
-        yield draws
+) -> np.ndarray:
+    """An (m, len(dts)) matrix of independent increments, column k over dts[k],
+    row after row: ``_standard_draws``'s m * len(dts) draws from gen (its
+    uniforms, then its exponentials), scaled by dts^(1/alpha)."""
+    draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
+    draws *= dts ** (1.0 / p.alpha)
+    return draws
 
 
 # ---------------------------------------------------------------------------

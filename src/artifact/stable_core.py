@@ -47,11 +47,10 @@ Self-similarity gives increments over a step dt as ``dt^{1/alpha} X_1``.
 The draws of X_1 come back in a fresh array that the caller owns, so the
 scaling by ``dt^{1/alpha}`` is done in place.
 
-Stream contract: n draws of X_1 consume n uniforms, then n exponentials
-(none at alpha = 1), and one transform ``_cms`` maps them to X_1.
-``_draws`` reads (uniform cursor, exponential cursor, n) sources: ``_walk`` one
-per group of lanes, ``sde_timechange`` a copy of a stream and the stream
-``_skip``-ped past its uniforms, block by block; each reads the same numbers.
+Stream contract: n draws of X_1 read n uniforms, then n exponentials (none
+at alpha = 1), from one stream, and one transform ``_cms`` maps them to X_1.
+``_draws`` reads a list of (stream, n) sources end to end: ``_walk`` passes one
+per group of lanes, ``sde_timechange`` one per row block of paths.
 
 Random streams are counter-based (Philox) and splittable: ``stream(seed,
 *key)`` yields independent generators for distinct keys, which is how the
@@ -253,28 +252,14 @@ def _standard_draws(p: StableParams, rng: np.random.Generator, n: int) -> np.nda
     """n i.i.d. copies of X_1: n uniforms, then n exponentials (none at
     alpha = 1), through _cms.  The returned array is a fresh buffer that the
     caller owns and may scale in place."""
-    return _draws(p, [(rng, rng, n)])
+    return _draws(p, [(rng, n)])
 
 
 def _draws(p: StableParams, sources) -> np.ndarray:
-    """Each source's (uniform cursor, exponential cursor, n) draws, end to end: one _cms."""
-    u = [cur.uniform(-math.pi / 2.0, math.pi / 2.0, size=n) for cur, _, n in sources]
-    w = [None] if p.alpha == 1.0 else [cur.standard_exponential(size=n) for _, cur, n in sources]
+    """Each (stream, n) source's n draws, end to end: one _cms."""
+    u = [gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=n) for gen, n in sources]
+    w = [None] if p.alpha == 1.0 else [gen.standard_exponential(size=n) for gen, n in sources]
     return _cms(p, *(a[0] if len(a) == 1 else np.concatenate(a) for a in (u, w)))
-
-
-def _skip(gen: np.random.Generator, n: int) -> np.random.Generator:
-    """The Philox stream gen moved past n doubles without drawing them: its
-    buffer is drained first, because advance() discards it."""
-    bits = gen.bit_generator
-    if not isinstance(bits, np.random.Philox):
-        raise OutOfRangeError(f"only Philox is read by position, not {type(bits).__name__}")
-    k = min(n, 4 - bits.state["buffer_pos"])
-    bits.random_raw(k)
-    if n > k:
-        bits.advance((n - k) // 4)
-        bits.random_raw((n - k) % 4)
-    return gen
 
 
 def _cms(p: StableParams, u: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -307,7 +292,8 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
 
     dt may be a positive scalar (with ``size`` draws) or an array of
     positive step lengths (one draw per entry).  Self-similarity:
-    X_{t+dt} - X_t  =law=  dt^{1/alpha} X_1.  rng may also be a list of ``_draws`` sources.
+    X_{t+dt} - X_t  =law=  dt^{1/alpha} X_1.  rng may also be a list of
+    (stream, n) ``_draws`` sources, one draw per entry of dt in turn.
     """
     dt_arr = np.asarray(dt, dtype=float)
     # a NaN makes min() NaN, which fails the comparison like any bad step
@@ -316,8 +302,7 @@ def sample_increment(p: StableParams, dt, rng, size: int | None = None):
     if dt_arr.ndim and size is not None:
         raise ValueError("size applies only to scalar dt")
     if not isinstance(rng, list):
-        gen = _keyed(rng)
-        rng = [(gen, gen, dt_arr.size if dt_arr.ndim else 1 if size is None else int(size))]
+        rng = [(_keyed(rng), dt_arr.size if dt_arr.ndim else 1 if size is None else int(size))]
     draws = _draws(p, rng).reshape(dt_arr.shape or -1)
     draws *= dt_arr ** (1.0 / p.alpha)
     return float(draws[0]) if dt_arr.ndim == 0 and size is None else draws

@@ -144,7 +144,7 @@ def test_criterion_04_expected_explosion_time():
     s = parse_sigma_spec("power:c=1,theta=2")
     target = expected_explosion_time(p, s, 0.0).value
     n = 100_000
-    est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=0, batch=5000)
+    est = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=n, rng=0)
     mean = float(np.mean(est.plateaued_samples))
     rel = abs(mean - target) / target
     ok = rel <= 0.05

@@ -310,10 +310,7 @@ def _lemma_without_walks(**kwargs):
 @pytest.mark.parametrize("run", [
     lambda batch: mc.interval_exit_occupation(StableParams(1.5, 0.5), 0.2, -1.0, 1.0,
                                               2e-3, 100, rng=0, batch=batch),
-    lambda batch: explosion_estimate(StableParams(0.5, 0.5),
-                                     parse_sigma_spec("power:c=1,theta=2"), x0=0.0,
-                                     horizon=10.0, n_paths=100, rng=0, batch=batch),
-], ids=["interval_exit_occupation", "explosion_estimate"])
+], ids=["interval_exit_occupation"])
 def test_batch_below_one_is_rejected(run, batch):
     with pytest.raises(OutOfRangeError, match="batch"):
         run(batch)

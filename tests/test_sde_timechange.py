@@ -1,5 +1,5 @@
 """Time-change engine tests: clock construction, horizon truncation and
-explosion detection on single paths, the batched explosion estimator, the
+explosion detection on single paths, the block-wise explosion estimator, the
 spatial inversion surgery, and a coarse cross-validation of the solver law
 against a direct Euler scheme."""
 
@@ -34,7 +34,7 @@ from artifact.sde_timechange import (
     spatial_inversion_inverse,
     time_change_solve,
 )
-from artifact.stable_core import OutOfRangeError, _standard_draws, stream
+from artifact.stable_core import OutOfRangeError, _keyed, _standard_draws, stream
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,13 @@ def test_time_change_exhausted_driver_raises():
         time_change_solve(x, s, horizon=2.0)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, -1.0])
+def test_time_change_rejects_a_nan_or_negative_horizon(horizon):
+    x = sample_path(StableParams(1.5, 0.5), 0.0, 1.0, step=1e-2, rng=5)
+    with pytest.raises(OutOfRangeError, match="horizon"):
+        time_change_solve(x, PowerTail(c=1.0, theta=2.0), horizon)
+
+
 def test_time_change_detects_explosion_with_plateaued_clock():
     p = StableParams(0.5, 0.5)
     s = PowerTail(c=1.0, theta=2.0)
@@ -105,14 +112,14 @@ def test_time_change_detects_explosion_with_plateaued_clock():
 
 
 # ---------------------------------------------------------------------------
-# batched explosion estimator
+# block-wise explosion estimator
 
 
 def test_explosion_estimate_deterministic_and_plateaued():
     p = StableParams(0.5, 0.5)
     s = parse_sigma_spec("power:c=1,theta=2")
-    e1 = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=600, rng=0, batch=300)
-    e2 = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=600, rng=0, batch=300)
+    e1 = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=600, rng=0)
+    e2 = explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=600, rng=0)
     np.testing.assert_array_equal(e1.samples, e2.samples)
     assert e1.plateau_fraction > 0.9
     assert e1.samples.size == 600
@@ -124,24 +131,22 @@ def test_explosion_estimate_deterministic_and_plateaued():
     assert np.median(e1.plateaued_samples) < 100.0
 
 
-def test_explosion_estimate_batch_invariance():
-    # the per-batch stream keying makes the estimate depend on (seed, batch),
-    # so identical batch size reproduces; the estimator must also be
-    # insensitive in law -- checked cheaply through the mean at two layouts
+def test_explosion_blocks_do_not_depend_on_n_paths():
+    # block k of _ROWS paths reads the stream keyed k whatever n_paths is, so
+    # a longer run starts with a shorter one's paths, bit for bit
     p = StableParams(0.5, 0.5)
     s = parse_sigma_spec("power:c=1,theta=2")
-    a = explosion_estimate(p, s, x0=0.0, horizon=1e5, n_paths=400, rng=1, batch=400)
-    b = explosion_estimate(p, s, x0=0.0, horizon=1e5, n_paths=400, rng=1, batch=100)
-    ma, mb = np.mean(a.samples), np.mean(b.samples)
-    pooled = np.sqrt(np.var(a.samples) / 400 + np.var(b.samples) / 400)
-    assert abs(ma - mb) < 6 * pooled
+    short = explosion_estimate(p, s, x0=0.0, horizon=1e5, n_paths=2 * _ROWS, rng=1)
+    long = explosion_estimate(p, s, x0=0.0, horizon=1e5, n_paths=3 * _ROWS + 5, rng=1)
+    np.testing.assert_array_equal(long.samples[:2 * _ROWS], short.samples)
+    np.testing.assert_array_equal(long.plateaued[:2 * _ROWS], short.plateaued)
 
 
 class _NoSeed:
     """An rng that fails the test as soon as a stream is keyed from it."""
 
     def __int__(self):
-        raise AssertionError("a stream was drawn before the grid was checked")
+        raise AssertionError("a stream was drawn before the inputs were checked")
 
 
 @pytest.mark.parametrize("grid", [
@@ -164,30 +169,45 @@ def test_explosion_estimate_rejects_a_bad_grid_before_any_draw(grid):
                            n_paths=10, rng=_NoSeed(), **grid)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_explosion_estimate_reads_a_philox_generator_in_turn(alpha):
-    # each batch's stream is read by position, which only Philox supports; a
-    # Philox Generator is read batch after batch, as one sequential stream
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_explosion_estimate_rejects_a_non_finite_start_before_any_draw(x0):
+    with pytest.raises(OutOfRangeError, match="x0"):
+        explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=x0,
+                           horizon=1e3, n_paths=10, rng=_NoSeed())
+
+
+def _assert_generator_read_in_turn(alpha, bits):
+    # a Generator is one sequential stream: each block reads its uniforms,
+    # then its exponentials, where the last block stopped
     p, s = StableParams(alpha, 0.5), PowerTail(1.0, 2.0)
-    est = explosion_estimate(p, s, x0=0.0, horizon=1e3, n_paths=150, rng=stream(3), batch=100)
-    samples, flags = _explosion_reference(p, s, 0.0, 1e3, 150, stream(3), 100)
+    est = explosion_estimate(p, s, x0=0.0, horizon=1e3, n_paths=150,
+                             rng=np.random.Generator(bits(3)))
+    samples, flags = _explosion_reference(p, s, 0.0, 1e3, 150, np.random.Generator(bits(3)))
     np.testing.assert_array_equal(est.samples, samples)
     np.testing.assert_array_equal(est.plateaued, flags)
-    with pytest.raises(OutOfRangeError, match="Philox"):
-        explosion_estimate(p, s, x0=0.0, horizon=1e3, n_paths=10, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_explosion_estimate_reads_a_philox_generator_in_turn(alpha):
+    _assert_generator_read_in_turn(alpha, np.random.Philox)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_explosion_estimate_reads_a_pcg64_generator_in_turn(alpha):
+    _assert_generator_read_in_turn(alpha, np.random.PCG64)
 
 
 def test_explosion_plateau_flags_match_time_change_solve():
-    # one plateau rule: a batch-0 driver of the estimator is flagged exactly
-    # when time_change_solve on the same grid reports it exploded
+    # one plateau rule: a driver of the estimator is flagged exactly when
+    # time_change_solve on the same grid reports it exploded
     p = StableParams(0.5, 0.5)
     s = parse_sigma_spec("power:c=1,theta=2")
     n, horizon = 500, 1e3
-    est = explosion_estimate(p, s, x0=0.0, horizon=horizon, n_paths=n, rng=0, batch=n)
+    est = explosion_estimate(p, s, x0=0.0, horizon=horizon, n_paths=n, rng=0)
     ts = _explosion_grid(horizon, 5e-3, 1.04)
     dts = np.diff(ts)
-    incs = np.concatenate(list(
-        sample_increments_matrix(p, dts, n, stream(0, 0))))
+    incs = np.concatenate([sample_increments_matrix(p, dts, min(_ROWS, n - first), stream(0, k))
+                           for k, first in enumerate(range(0, n, _ROWS))])
     drivers = np.concatenate((np.zeros((n, 1)), np.cumsum(incs, axis=1)), axis=1)
     exploded = []
     for values in drivers:
@@ -210,17 +230,16 @@ class _ReadOnlySquare(SigmaFunction):
         return out
 
 
-def _explosion_reference(p, s, x0, horizon, n_paths, seed, batch):
+def _explosion_reference(p, s, x0, horizon, n_paths, seed):
     """(samples, plateaued) of explosion_estimate written with one temporary
     per operation and nothing done in place; seed may be a Generator."""
     ts = _explosion_grid(horizon, 5e-3, 1.04)
     dts = np.diff(ts)
     k = int(np.searchsorted(ts, horizon / 10.0))
     samples, flags = [], []
-    for bi, first in enumerate(range(0, n_paths, batch)):
-        m = min(batch, n_paths - first)
-        gen = seed if isinstance(seed, np.random.Generator) else stream(seed, bi)
-        draws = _standard_draws(p, gen, m * dts.size).reshape(m, dts.size)
+    for block, first in enumerate(range(0, n_paths, _ROWS)):
+        m = min(_ROWS, n_paths - first)
+        draws = _standard_draws(p, _keyed(seed, block), m * dts.size).reshape(m, dts.size)
         incs = dts ** (1.0 / p.alpha) * draws
         x = np.concatenate((np.full((m, 1), x0), x0 + np.cumsum(incs, axis=1)), axis=1)
         f = np.asarray(s(x), dtype=float) ** (-p.alpha)
@@ -236,25 +255,23 @@ def _explosion_reference(p, s, x0, horizon, n_paths, seed, batch):
     (StableParams(0.7, 1.0), _ReadOnlySquare(), 0.5, 1e4),
 ])
 def test_explosion_estimate_equals_the_unfused_reference(p, s, x0, horizon):
-    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=300, rng=0, batch=100)
-    samples, flags = _explosion_reference(p, s, x0, horizon, 300, 0, 100)
+    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=300, rng=0)
+    samples, flags = _explosion_reference(p, s, x0, horizon, 300, 0)
     np.testing.assert_array_equal(est.samples, samples)
     np.testing.assert_array_equal(est.plateaued, flags)
 
 
-@pytest.mark.parametrize("p, x0, horizon, n, batch", [
-    (StableParams(1.0, 0.5), 0.0, 1e3, 300, 100),  # alpha = 1 draws no exponentials
-    # a short last batch fills only the head of the first batch's buffer
-    (StableParams(0.5, 0.5), 0.0, 1e6, 301, 100),
-    # batches smaller than one row block, and batches of several blocks
-    # with a short last block
-    (StableParams(1.5, 0.4), 0.2, 1e2, 100, _ROWS // 2 - 1),
-    (StableParams(0.5, 0.5), 0.0, 1e6, 2 * (3 * _ROWS + 5), 3 * _ROWS + 5),
+@pytest.mark.parametrize("p, x0, horizon, n", [
+    (StableParams(1.0, 0.5), 0.0, 1e3, 300),  # alpha = 1 draws no exponentials
+    (StableParams(0.5, 0.5), 0.0, 1e6, 4 * _ROWS + 1),  # a last block of one path
+    (StableParams(1.5, 0.4), 0.2, 1e2, _ROWS // 2 - 1),  # fewer paths than one block
+    # several blocks with a short last block
+    (StableParams(0.5, 0.5), 0.0, 1e6, 2 * (3 * _ROWS + 5)),
 ])
-def test_explosion_row_blocks_equal_the_unfused_reference(p, x0, horizon, n, batch):
+def test_explosion_row_blocks_equal_the_unfused_reference(p, x0, horizon, n):
     s = PowerTail(1.0, 2.0)
-    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=n, rng=0, batch=batch)
-    samples, flags = _explosion_reference(p, s, x0, horizon, n, 0, batch)
+    est = explosion_estimate(p, s, x0=x0, horizon=horizon, n_paths=n, rng=0)
+    samples, flags = _explosion_reference(p, s, x0, horizon, n, 0)
     np.testing.assert_array_equal(est.samples, samples)
     np.testing.assert_array_equal(est.plateaued, flags)
 
@@ -262,13 +279,13 @@ def test_explosion_row_blocks_equal_the_unfused_reference(p, x0, horizon, n, bat
 def test_explosion_batches_hold_at_most_three_matrices():
     # increments, driver, sigma, integrand and trapezoid terms are each an
     # (m, len(ts)) float matrix; each is dropped once spent and none outlives
-    # its batch, so three batches in a row never hold 3.5 of them at once
+    # its block, so 3 m paths in a row never hold 3.5 of them at once
     p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 1000
     matrix_bytes = m * _explosion_grid(1e6, 5e-3, 1.04).size * 8
-    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
-        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=3 * m, rng=0, batch=m)
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=3 * m, rng=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,14 +294,14 @@ def test_explosion_batches_hold_at_most_three_matrices():
 
 @pytest.mark.parametrize("p", [StableParams(0.5, 0.5), StableParams(1.0, 0.5)])
 def test_explosion_batches_hold_one_matrix(p):
-    # a batch's uniforms fill one (m, len(ts) - 1) buffer that every batch
-    # reuses; increments, driver, sigma and trapezoid terms live in row blocks
+    # no (m, len(ts) - 1) buffer is reused across m paths; increments,
+    # driver, sigma and trapezoid terms live in row blocks
     s, m = PowerTail(1.0, 2.0), 2000
     matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
-    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
-        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=2 * m, rng=0, batch=m)
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=2 * m, rng=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,14 +309,14 @@ def test_explosion_batches_hold_one_matrix(p):
 
 
 def test_explosion_batches_hold_no_matrix():
-    # each batch is read from its stream block by block: no (m, len(ts) - 1)
-    # buffer of uniforms or of anything else exists
+    # each block of _ROWS paths is drawn from its own stream: no
+    # (m, len(ts) - 1) buffer of uniforms or of anything else exists
     p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 8000
     matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
-    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0, batch=10)
+    explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
-        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=m, rng=0, batch=m)
+        explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=m, rng=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
