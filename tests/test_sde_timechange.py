@@ -294,8 +294,8 @@ def test_explosion_batches_hold_at_most_three_matrices():
 
 @pytest.mark.parametrize("p", [StableParams(0.5, 0.5), StableParams(1.0, 0.5)])
 def test_explosion_batches_hold_one_matrix(p):
-    # no (m, len(ts) - 1) buffer is reused across m paths; increments,
-    # driver, sigma and trapezoid terms live in row blocks
+    # nothing of size (m, len(ts) - 1) is held; increments, driver, sigma
+    # and trapezoid terms live in row blocks
     s, m = PowerTail(1.0, 2.0), 2000
     matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
     explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
