@@ -3,12 +3,14 @@ explosion detection on single paths, the block-wise explosion estimator, the
 spatial inversion surgery, and a coarse cross-validation of the solver law
 against a direct Euler scheme."""
 
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from artifact import (
     ExhaustedPathError,
@@ -35,6 +37,14 @@ from artifact.sde_timechange import (
     time_change_solve,
 )
 from artifact.stable_core import OutOfRangeError, _keyed, _standard_draws, stream
+
+_DEFAULTS = inspect.signature(explosion_estimate).parameters
+HEAD_STEP, GROWTH = _DEFAULTS["head_step"].default, _DEFAULTS["growth"].default
+
+
+def _default_grid(horizon):
+    """explosion_estimate's grid at its own default head step and growth."""
+    return _explosion_grid(horizon, HEAD_STEP, GROWTH)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +214,7 @@ def test_explosion_plateau_flags_match_time_change_solve():
     s = parse_sigma_spec("power:c=1,theta=2")
     n, horizon = 500, 1e3
     est = explosion_estimate(p, s, x0=0.0, horizon=horizon, n_paths=n, rng=0)
-    ts = _explosion_grid(horizon, 5e-3, 1.04)
+    ts = _default_grid(horizon)
     dts = np.diff(ts)
     incs = np.concatenate([sample_increments_matrix(p, dts, min(_ROWS, n - first), stream(0, k))
                            for k, first in enumerate(range(0, n, _ROWS))])
@@ -233,7 +243,7 @@ class _ReadOnlySquare(SigmaFunction):
 def _explosion_reference(p, s, x0, horizon, n_paths, seed):
     """(samples, plateaued) of explosion_estimate written with one temporary
     per operation and nothing done in place; seed may be a Generator."""
-    ts = _explosion_grid(horizon, 5e-3, 1.04)
+    ts = _default_grid(horizon)
     dts = np.diff(ts)
     k = int(np.searchsorted(ts, horizon / 10.0))
     samples, flags = [], []
@@ -276,12 +286,40 @@ def test_explosion_row_blocks_equal_the_unfused_reference(p, x0, horizon, n):
     np.testing.assert_array_equal(est.plateaued, flags)
 
 
+@pytest.mark.parametrize("p, theta, x0", [
+    (StableParams(0.5, 0.5), 2.0, 0.0),
+    (StableParams(0.7, 0.3), 2.0, 1.5),
+])
+def test_default_head_step_on_common_paths_of_a_tenfold_finer_head(p, theta, x0):
+    # a paired refinement: each path is drawn on a head ten times finer than
+    # the default and its trapezoid clock summed on every node and on every
+    # 10th head node, which is the default grid.  On 20,000 paths the
+    # relative mean difference read at most 6.4e-5 and the difference sd
+    # 0.6 % of the path sd; the bounds below are fixed at about 8x and 3x that
+    s, n, horizon = PowerTail(1.0, theta), 4000, 1e6
+    fine = _explosion_grid(horizon, HEAD_STEP / 10, GROWTH)
+    n_head = int(np.sum(fine < 2.0))
+    coarse = np.r_[np.arange(0, n_head, 10), np.arange(n_head, fine.size)]
+    np.testing.assert_allclose(fine[coarse], _default_grid(horizon), rtol=0, atol=1e-12)
+    fine_a, coarse_a = [], []
+    for k in range(n // 1000):
+        incs = sample_increments_matrix(p, np.diff(fine), 1000, stream(11, k))
+        x = np.concatenate((np.full((1000, 1), x0), x0 + np.cumsum(incs, axis=1)), axis=1)
+        f = s(x) ** (-p.alpha)
+        fine_a.append(trapezoid(f, fine, axis=1))
+        coarse_a.append(trapezoid(f[:, coarse], fine[coarse], axis=1))
+    fine_a, coarse_a = np.concatenate(fine_a), np.concatenate(coarse_a)
+    diff = coarse_a - fine_a
+    assert abs(diff.mean() / fine_a.mean()) < 5e-4
+    assert diff.std() / fine_a.std() < 0.02
+
+
 def test_explosion_batches_hold_at_most_three_matrices():
     # increments, driver, sigma, integrand and trapezoid terms are each an
     # (m, len(ts)) float matrix; each is dropped once spent and none outlives
     # its block, so 3 m paths in a row never hold 3.5 of them at once
     p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 1000
-    matrix_bytes = m * _explosion_grid(1e6, 5e-3, 1.04).size * 8
+    matrix_bytes = m * _default_grid(1e6).size * 8
     explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
@@ -297,7 +335,7 @@ def test_explosion_batches_hold_one_matrix(p):
     # nothing of size (m, len(ts) - 1) is held; increments, driver, sigma
     # and trapezoid terms live in row blocks
     s, m = PowerTail(1.0, 2.0), 2000
-    matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
+    matrix_bytes = m * (_default_grid(1e6).size - 1) * 8
     explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
@@ -312,7 +350,7 @@ def test_explosion_batches_hold_no_matrix():
     # each block of _ROWS paths is drawn from its own stream: no
     # (m, len(ts) - 1) buffer of uniforms or of anything else exists
     p, s, m = StableParams(0.5, 0.5), PowerTail(1.0, 2.0), 8000
-    matrix_bytes = m * (_explosion_grid(1e6, 5e-3, 1.04).size - 1) * 8
+    matrix_bytes = m * (_default_grid(1e6).size - 1) * 8
     explosion_estimate(p, s, x0=0.0, horizon=1e6, n_paths=10, rng=0)
     tracemalloc.start()
     try:
