@@ -294,11 +294,14 @@ def test_loops_keep_groups_whole_and_streams_apart():
     assert [[g[1] for g in run] for run in mc._loops(groups, 100)] == [[3, 4], [9, 2], [1]]
 
 
-def _lemma_without_walks(**kwargs):
+def _lemma_without_walks(runs=None, **kwargs):
     """The lemma with every path walk made an error: a rejected count must be
-    rejected before the h-grid stage, which alone takes seconds."""
+    rejected before the h-grid stage, which alone takes seconds.  The lane
+    counts of the groups of the refused walk go into ``runs`` when given."""
 
-    def walk(*args, **kw):
+    def walk(p, walked, *args, **kw):
+        if runs is not None:
+            runs.extend([g[1] for g in run] for run in walked)
         raise AssertionError("a path was walked")
 
     with pytest.MonkeyPatch.context() as mp:
@@ -331,6 +334,27 @@ def test_no_paths_is_rejected(run):
 def test_lemma_one_path_is_rejected_before_any_walk():
     with pytest.raises(mc.TooFewSamplesError, match="needs two"):
         _lemma_without_walks(n_paths=1)
+
+
+@pytest.mark.parametrize("grid_paths", [0, -1])
+def test_lemma_grid_paths_below_one_is_rejected_before_any_walk(grid_paths):
+    with pytest.raises(OutOfRangeError, match="grid_paths"):
+        _lemma_without_walks(n_paths=1_000, grid_paths=grid_paths)
+
+
+@pytest.mark.parametrize("n_paths, grid_paths, per_node, nodes", [
+    (1_000, 3_000, 250, 99),  # every node in one walk of 24,750 lanes
+    (6_000, 800, 800, 31),
+    (100_000, 3_000, 3_000, 8),
+    (40, 3_000, 100, 99),
+])
+def test_lemma_grid_walks_a_quarter_of_n_between_100_and_grid_paths(n_paths, grid_paths,
+                                                                    per_node, nodes):
+    # the stub refuses the first h-grid walk, so runs holds that walk's groups
+    runs = []
+    with pytest.raises(AssertionError, match="a path was walked"):
+        _lemma_without_walks(runs, n_paths=n_paths, grid_paths=grid_paths)
+    assert runs == [[per_node] * nodes]
 
 
 # how each kernel reports paths that end at the horizon, run out of steps or
@@ -468,6 +492,14 @@ def test_occupation_potential_lemma_small_n():
                                         grid_paths=800, rng=0)
     assert out.passed, out.to_json_line()
     assert out.statistic < 1.0  # measured 0.12 at this seed; 3 SE is the gate
+
+
+def test_lemma_grid_error_stays_below_half_the_main_run_error():
+    # the grid walks n / 4 paths a node, so se_grid / se_mc is about 0.35
+    # (measured 0.37 at this seed)
+    out = mc.occupation_potential_lemma(StableParams(1.2, 0.5), n_paths=1_000, rng=0)
+    assert out.passed, out.to_json_line()
+    assert out.extras["se_grid"] <= 0.5 * out.extras["se_mc"], out.to_json_line()
 
 
 def test_entrance_proxy_skips_degenerate_start():
