@@ -409,8 +409,8 @@ class BoundaryReport:
             "entrance": {k: v.to_dict() for k, v in self.entrance.items()},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def ticks(self, which: str) -> list[str]:
         if which not in ("explosion", "entrance"):

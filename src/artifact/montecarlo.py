@@ -22,12 +22,11 @@ lemma's uniform skeleton and everything timed) only takes time steps.
 Every path here is a stable driver.  The perpetual integral that decides
 explosion, A_inf = int sigma(X_t)^{-alpha} dt, is sampled in ``sde_timechange``.
 
-A kernel exposes only what its callers set: the step-refinement knobs
-(base_step, step_coef, kill_eps, near_cap), horizon and max_steps, and the
+A kernel exposes only what its callers set: horizon and max_steps, and the
 batch size of ``passage_overshoot_samples`` and ``interval_exit_occupation``;
-the rest are constants.  The validations fix their thresholds and names,
-and the occupation-potential lemma runs its main skeleton through
-``interval_exit_occupation``.
+the step rules are module constants.  The validations fix their thresholds and
+names and take n_paths from their caller, and the occupation-potential lemma
+runs its main skeleton through ``interval_exit_occupation``.
 
 Determinism: an integer ``rng`` seeds one independent substream per batch
 (keyed, not sequential), so results are reproducible for a given seed,
@@ -82,6 +81,10 @@ class TooFewSamplesError(ValueError):
 
 
 MIN_KS_SAMPLES = 100
+
+# the step rules, each described where it is used, and the strip walk's default limits
+_OVERSHOOT_STEP, _STRIP_STEP, _STEP_COEF, _KILL_EPS, _NEAR_CAP = 1e-4, 1e-3, 3e-3, 5e-5, 0.05
+_STRIP_HORIZON, _STRIP_MAX_STEPS = 1e5, 5_000_000
 
 
 @dataclass
@@ -396,7 +399,6 @@ def passage_overshoot_samples(
     n_paths: int,
     rng=0,
     *,
-    base_step: float = 1e-4,
     horizon: float = 1e6,
     max_steps: int = 10_000_000,
     batch: int = 25_000,
@@ -404,7 +406,7 @@ def passage_overshoot_samples(
     """First passage strictly below `level` from x0 > level: overshoot depths.
 
     The step is self-similar in the distance d to the barrier,
-    dt = base_step * (d/0.1)^alpha, so dt <= base_step throughout the band
+    dt = 1e-4 * (d/0.1)^alpha, so dt <= 1e-4 throughout the band
     d <= 0.1 and the per-step displacement stays a fixed small fraction of
     d at every scale.  The rule is floorless on purpose: the overshoot law
     has an integrable singularity at depth 0 (CDF ~ y^{1-alpha*rhohat}), so
@@ -416,7 +418,7 @@ def passage_overshoot_samples(
     if x0 <= level:
         raise OutOfRangeError("start must be above the passage level")
     al = p.alpha
-    coef = base_step / 0.1 ** al
+    coef = _OVERSHOOT_STEP / 0.1 ** al
     ends = _walk(
         p, _batches(x0, n_paths, rng, batch),
         lambda x: coef * (x - level) ** al,
@@ -436,10 +438,8 @@ def strip_entry_samples(
     rng=0,
     *,
     sigma: SigmaFunction | None = None,
-    base_step: float = 1e-3,
-    step_coef: float = 3e-3,
-    horizon: float = 1e5,
-    max_steps: int = 5_000_000,
+    horizon: float = _STRIP_HORIZON,
+    max_steps: int = _STRIP_MAX_STEPS,
 ) -> dict:
     """First entry of the open strip (-a, a) from |x0| > a.
 
@@ -453,8 +453,7 @@ def strip_entry_samples(
     a = float(half_width)
     if abs(x0) <= a:
         raise OutOfRangeError("start must be outside the strip")
-    ends = _strip_walk(p, _batches(x0, n_paths, rng, 25_000), a, sigma, base_step=base_step,
-                       step_coef=step_coef, horizon=horizon, max_steps=max_steps)
+    ends = _strip_walk(p, _batches(x0, n_paths, rng, 25_000), a, sigma, horizon, max_steps)
     entered = ends.stopped
     positions = ends.x[entered]
     return {
@@ -466,17 +465,14 @@ def strip_entry_samples(
     }
 
 
-_STRIP_DEFAULTS = strip_entry_samples.__kwdefaults__  # read once, from the function itself
-
-
-def _strip_walk(p, runs, a, sigma, *, base_step, step_coef, horizon, max_steps) -> _Ends:
-    """``strip_entry_samples``'s walk of runs into (-a, a), the one copy of its rule."""
+def _strip_walk(p, runs, a, sigma, horizon, max_steps) -> _Ends:
+    """``strip_entry_samples``'s walk into (-a, a): dt = 1e-3 + 3e-3 d^alpha at distance d."""
     al = p.alpha
     if sigma is None:
         clock = _left_endpoint(lambda x: 1.0)
     else:
         clock = _trapezoid(lambda z: np.asarray(sigma(z), dtype=float) ** (-al))
-    return _walk(p, runs, lambda x: base_step + step_coef * (np.abs(x) - a) ** al,
+    return _walk(p, runs, lambda x: _STRIP_STEP + _STEP_COEF * (np.abs(x) - a) ** al,
                  lambda x: np.abs(x) < a, accumulate=clock, horizon=horizon, max_steps=max_steps)
 
 
@@ -488,37 +484,34 @@ def origin_kill_occupation(
     n_paths: int,
     rng=0,
     *,
-    kill_eps: float = 5e-5,
-    step_coef: float = 3e-3,
-    near_cap: float = 0.05,
     max_steps: int = 5_000_000,
 ) -> dict:
     """Occupation integral int_0^{T_0} sigma(X_t)^-alpha 1{w0 <= X_t <= w1} dt
-    up to the first visit of the kill ball |X| <= kill_eps (proxy for the
-    hitting time of 0, which for alpha > 1 is a.s. finite).
+    up to the first visit of the kill ball |X| <= 5e-5 (``_KILL_EPS``, a proxy
+    for the hitting time of 0, which for alpha > 1 is a.s. finite).
 
     This is exactly the time the coefficient process Z spends in the window
     before hitting 0.  A two-sided driver walks on intervals: with
-    r = min(|x| - kill_eps, dist(x, window)), a lane whose step would move it
+    r = min(|x| - 5e-5, dist(x, window)), a lane whose step would move it
     by less than r jumps to its exact first exit from (x - r, x + r), an
     interval that misses both the kill ball and the window, so the jump
     adds no occupation and cannot skip a kill.  The other lanes, those near
-    the window or in it, take time steps.  Steps shrink like coef * |x|^alpha
-    toward the origin (geometric capture of the approach down to kill_eps)
-    and are capped at near_cap inside twice the window so the occupation
-    trapezoid stays resolved.  One-sided drivers only take time steps.
+    the window or in it, take time steps.  Steps shrink like 3e-3 |x|^alpha
+    toward the origin (geometric capture of the approach down to the ball)
+    and are capped at 0.05 (``_NEAR_CAP``) inside twice the window so the
+    occupation trapezoid stays resolved.  One-sided drivers only take time steps.
     Paths still running after max_steps iterations (a jump or a step each)
     contribute their truncated occupation and are counted in `alive`.
     """
     w0, w1 = float(window[0]), float(window[1])
     al = p.alpha
-    floor = step_coef * kill_eps ** al
+    floor = _STEP_COEF * _KILL_EPS ** al
     near_edge = 2.0 * max(abs(w0), abs(w1), 1.0)
 
     def step(x):
         ax = np.abs(x)
-        dt = np.maximum(step_coef * ax ** al, floor)
-        return np.where(ax <= near_edge, np.minimum(dt, near_cap), dt)
+        dt = np.maximum(_STEP_COEF * ax ** al, floor)
+        return np.where(ax <= near_edge, np.minimum(dt, _NEAR_CAP), dt)
 
     def weight(z):
         inside = (z >= w0) & (z <= w1)
@@ -528,10 +521,10 @@ def origin_kill_occupation(
         return out
 
     def reach(x):
-        return np.minimum(np.abs(x) - kill_eps, np.maximum(np.maximum(w0 - x, x - w1), 0.0))
+        return np.minimum(np.abs(x) - _KILL_EPS, np.maximum(np.maximum(w0 - x, x - w1), 0.0))
 
     ends = _walk(
-        p, _batches(x0, n_paths, rng, 20_000), step, lambda x: np.abs(x) <= kill_eps,
+        p, _batches(x0, n_paths, rng, 20_000), step, lambda x: np.abs(x) <= _KILL_EPS,
         accumulate=_trapezoid(weight),
         reach=reach if p.sidedness is Sidedness.TWO_SIDED else None,
         max_steps=max_steps,
@@ -610,10 +603,10 @@ def exit_interval_samples(
     al = p.alpha
 
     def step(x):
-        dt = 1e-4 + 3e-3 * np.maximum(np.minimum(x - lo, hi - x), 0.0) ** al
+        dt = 1e-4 + _STEP_COEF * np.maximum(np.minimum(x - lo, hi - x), 0.0) ** al
         if kill_eps is None:
             return dt
-        return np.minimum(dt, 3e-3 * np.maximum(np.abs(x), kill_eps) ** al)
+        return np.minimum(dt, _STEP_COEF * np.maximum(np.abs(x), kill_eps) ** al)
 
     def outside(x):
         return (x <= lo) | (x >= hi)
@@ -650,9 +643,8 @@ def occupation_vs_potential(
     s: SigmaFunction,
     x0: float,
     window: tuple[float, float],
-    n_paths: int = 100_000,
+    n_paths: int,
     rng=0,
-    **kernel_kwargs,
 ) -> ValidationOutcome:
     """Mean sigma^-alpha-weighted window occupation of X before hitting 0
     against the quadrature of the origin-killed potential density over the
@@ -661,7 +653,7 @@ def occupation_vs_potential(
     running after the kernel's max_steps iterations; it keeps its name so
     the JSON schema stays the same."""
     t0 = time.perf_counter()
-    res = origin_kill_occupation(p, x0, s, window, n_paths, rng, **kernel_kwargs)
+    res = origin_kill_occupation(p, x0, s, window, n_paths, rng)
     al = p.alpha
 
     def integrand(y):
@@ -693,7 +685,7 @@ def _hitting_grid() -> np.ndarray:
 
 def occupation_potential_lemma(
     p: StableParams,
-    n_paths: int = 100_000,
+    n_paths: int,
     grid_paths: int = 3_000,
     rng=0,
 ) -> ValidationOutcome:
@@ -774,13 +766,14 @@ def entrance_proxy(
     s: SigmaFunction,
     level: float,
     starts,
-    n_paths: int = 4_000,
+    n_paths: int,
     rng=0,
     expect: str = "stabilize",
-    **kernel_kwargs,
+    *,
+    horizon: float = _STRIP_HORIZON,
 ) -> ValidationOutcome:
-    """Median entry time of the coefficient process Z into (-level, level)
-    from a ladder of starts.
+    """Median entry time of the coefficient process Z into (-level, level),
+    by ``strip_entry_samples``'s walk up to ``horizon``, from a ladder of starts.
 
     expect="stabilize": medians from all admissible starts agree with the
     farthest start to within 10 % relative (entrance from infinity).
@@ -801,8 +794,7 @@ def entrance_proxy(
     admissible = sorted(admissible, key=abs)
     groups = [g for j, x0 in enumerate(admissible)
               for [g] in _batches(x0, n_paths, _keyed(rng, 2000 + j), 25_000)]
-    ends = _strip_walk(p, list(_loops(groups, 25_000)), float(level),
-                       **dict(_STRIP_DEFAULTS, sigma=s, **kernel_kwargs))
+    ends = _strip_walk(p, list(_loops(groups, 25_000)), float(level), s, horizon, _STRIP_MAX_STEPS)
     medians, missed = [], []
     for x0, entered, clocks in zip(admissible, ends.stopped.reshape(-1, n_paths),
                                    ends.acc.reshape(-1, n_paths)):

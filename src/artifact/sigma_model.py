@@ -36,11 +36,11 @@ Composite(parts)
 
 Evaluation
 ----------
-Every kind is called on a point or on an array.  A finite float (Python or
-numpy) goes in and a Python float comes out, computed in plain float
-arithmetic and bit-identical to the 0-d numpy evaluation; arrays, 0-d arrays
-and any other input take the numpy path.  The integral tests call sigma one
-quadrature node at a time, the samplers call it on whole arrays.
+Every kind is called on a point or on an array.  A float (Python or numpy)
+with a finite square goes in and a Python float comes out, computed in plain
+float arithmetic and bit-identical to the 0-d numpy evaluation; anything else
+takes the numpy path (see ``_squared`` beyond |x| of 1.34e154).  The integral
+tests call sigma one quadrature node at a time, the samplers on whole arrays.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class NonPositiveError(ValueError):
 
 
 def _pointwise(point, array):
-    """A ``__call__`` that evaluates a finite float x as point(self, x) and
-    anything else as array(self, x as a float array).
+    """A ``__call__`` that evaluates a float x whose x * x is finite as
+    point(self, x) and anything else as array(self, x as a float array).
 
     Python's ``**`` raises where numpy's returns inf or 0, so such a point is
     evaluated by ``array``, which gives the 0-d numpy value, warnings and all.
@@ -78,7 +78,7 @@ def _pointwise(point, array):
     """
 
     def __call__(self, x):
-        if isinstance(x, float) and math.isfinite(x):
+        if isinstance(x, float) and x * x < math.inf:
             try:
                 return point(self, float(x))
             except ArithmeticError:
@@ -87,6 +87,15 @@ def _pointwise(point, array):
         return float(out) if out.ndim == 0 else out
 
     return __call__
+
+
+def _squared(x):
+    """(x * x, None), or where x * x overflows (|x| above about 1.34e154) 0 there and
+    the mask, where (1 + x^2)^{theta/2} is |x|^theta and log(e + x^2) is 2 log|x|."""
+    with np.errstate(over="ignore"):
+        xx = x * x
+    big = np.isinf(xx)
+    return (xx, None) if not big.any() else (np.where(big, 0.0, xx), big)
 
 
 class SigmaFunction:
@@ -125,10 +134,17 @@ class PowerTail(SigmaFunction):
         object.__setattr__(self, "tail_plus", float(self.theta))
         object.__setattr__(self, "tail_minus", float(self.theta))
 
-    def _at(self, x):
+    def _point(self, x):
         return self.c * (1.0 + x * x) ** (self.theta / 2.0)
 
-    __call__ = _pointwise(_at, _at)
+    def _array(self, x):
+        xx, big = _squared(x)
+        out = np.asarray(self.c * (1.0 + xx) ** (self.theta / 2.0))
+        if big is not None:
+            out[big] = self.c * np.abs(x[big]) ** self.theta
+        return out
+
+    __call__ = _pointwise(_point, _array)
 
     def describe(self) -> str:
         return f"power:c={self.c:g},theta={self.theta:g}"
@@ -149,15 +165,16 @@ class LogPower(SigmaFunction):
         # empirical log-log slope by ~ q/log|x|, more than the declared-tail
         # tolerance on any finite window
 
-    def _at(self, x, log):
-        return self.c * (1.0 + x * x) ** (self.theta / 2.0) * log ** self.q
-
     def _point(self, x):
         # np.log, not math.log: the two differ in the last bit at some points
-        return self._at(x, float(np.log(math.e + x * x)))
+        return self.c * (1.0 + x * x) ** (self.theta / 2.0) * float(np.log(math.e + x * x)) ** self.q
 
     def _array(self, x):
-        return self._at(x, np.log(math.e + x * x))
+        xx, big = _squared(x)
+        out = np.asarray(self.c * (1.0 + xx) ** (self.theta / 2.0) * np.log(math.e + xx) ** self.q)
+        if big is not None:
+            out[big] = self.c * np.abs(x[big]) ** self.theta * (2.0 * np.log(np.abs(x[big]))) ** self.q
+        return out
 
     __call__ = _pointwise(_point, _array)
 

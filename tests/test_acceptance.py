@@ -102,8 +102,7 @@ def test_criterion_02_overshoot_law():
     p = StableParams(1.5, 0.5)
     n = 100_000
     t0 = time.perf_counter()
-    res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=0,
-                                       base_step=1e-4)
+    res = mc.passage_overshoot_samples(p, x0=2.0, level=0.0, n_paths=n, rng=0)
     depths = res["depths"]
 
     ks = mc.ks_statistic(depths, lambda y: overshoot_cdf(p, 2.0, 0.0, y).value)

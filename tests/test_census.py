@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "artifact"
-BOUND = 79
+BOUND = 68
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

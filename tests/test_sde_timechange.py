@@ -3,8 +3,8 @@ explosion detection on single paths, the block-wise explosion estimator, the
 spatial inversion surgery, and a coarse cross-validation of the solver law
 against a direct Euler scheme."""
 
-import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +25,8 @@ from artifact import (
     sample_path_at,
 )
 from artifact.sde_timechange import (
+    _GROWTH,
+    _HEAD_STEP,
     _ROWS,
     AdditiveFunctional,
     _explosion_grid,
@@ -38,13 +40,10 @@ from artifact.sde_timechange import (
 )
 from artifact.stable_core import OutOfRangeError, _keyed, _standard_draws, stream
 
-_DEFAULTS = inspect.signature(explosion_estimate).parameters
-HEAD_STEP, GROWTH = _DEFAULTS["head_step"].default, _DEFAULTS["growth"].default
-
 
 def _default_grid(horizon):
-    """explosion_estimate's grid at its own default head step and growth."""
-    return _explosion_grid(horizon, HEAD_STEP, GROWTH)
+    """explosion_estimate's grid, at its head step and growth."""
+    return _explosion_grid(horizon, _HEAD_STEP, _GROWTH)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +159,24 @@ class _NoSeed:
 
 
 @pytest.mark.parametrize("grid", [
-    dict(growth=1.0, horizon=1e3),  # the geometric tail would never reach the horizon
-    dict(growth=1.0 + 1e-6),  # about 6.2 million points
-    dict(growth=0.5),
-    dict(growth=math.nan),
-    dict(head_step=0.0),
-    dict(head_step=-1e-3),
-    dict(head_step=math.nan),
     dict(horizon=0.0),
     dict(horizon=-1.0),
     dict(horizon=math.nan),
     dict(horizon=math.inf),
 ])
 def test_explosion_estimate_rejects_a_bad_grid_before_any_draw(grid):
-    grid = dict(horizon=1e3) | grid
     with pytest.raises(OutOfRangeError, match="explosion grid"):
         explosion_estimate(StableParams(0.5, 0.5), PowerTail(1.0, 2.0), x0=0.0,
                            n_paths=10, rng=_NoSeed(), **grid)
+
+
+def test_explosion_grid_stays_small_at_the_largest_horizon():
+    # the grid's head step and growth are constants, so its size is bounded
+    # by the largest float horizon: 40 head points and a tail of ratio 1.04
+    ts = _default_grid(sys.float_info.max)
+    assert ts.size < 20_000
+    assert ts[-1] == sys.float_info.max and np.all(np.diff(ts) > 0)
+    assert _default_grid(1e6).size == 376
 
 
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
@@ -297,7 +297,7 @@ def test_default_head_step_on_common_paths_of_a_tenfold_finer_head(p, theta, x0)
     # relative mean difference read at most 6.4e-5 and the difference sd
     # 0.6 % of the path sd; the bounds below are fixed at about 8x and 3x that
     s, n, horizon = PowerTail(1.0, theta), 4000, 1e6
-    fine = _explosion_grid(horizon, HEAD_STEP / 10, GROWTH)
+    fine = _explosion_grid(horizon, _HEAD_STEP / 10, _GROWTH)
     n_head = int(np.sum(fine < 2.0))
     coarse = np.r_[np.arange(0, n_head, 10), np.arange(n_head, fine.size)]
     np.testing.assert_allclose(fine[coarse], _default_grid(horizon), rtol=0, atol=1e-12)

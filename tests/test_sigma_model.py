@@ -3,7 +3,9 @@ interpolation, composite products, the point path against the 0-d numpy path,
 and the spec-string parser."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +163,57 @@ def test_point_path_overflow_and_nan_match_numpy(name):
         if s.tail_plus is not None and s.tail_plus > 0:
             assert s(1e300) == math.inf
     assert math.isnan(s(math.nan)) and math.isnan(s(np.float64("nan")))
+
+
+_SQUARE_OVERFLOW = [PowerTail(1.0, 1.0), PowerTail(1.0, -1.0), LogPower(1.0, 1.0, -1.7)]
+
+
+def _exact(s, x):
+    """sigma at x from its defining formula, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        out = s.c * (1 + x * x) ** (mpmath.mpf(s.theta) / 2)
+        if isinstance(s, LogPower):
+            out *= mpmath.log(mpmath.e + x * x) ** mpmath.mpf(s.q)
+        return out
+
+
+@pytest.mark.parametrize("s", _SQUARE_OVERFLOW, ids=repr)
+def test_sigma_is_exact_where_the_square_overflows(s):
+    # beyond |x| of about 1.34e154, 1 + x * x is inf in float64, so sigma
+    # reads |x|^theta and 2 log|x| there; the formula in x * x would give inf,
+    # 0.0 and NaN at 1e200 for these three
+    xs = [1e155, 1e200, -1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = [s(x) for x in xs]
+        zero_d = [s(np.asarray(x)) for x in xs]
+        array = s(np.array(xs + [0.5]))
+    for x, got in zip(xs, point):
+        assert got == pytest.approx(float(_exact(s, x)), rel=1e-12, abs=0.0), x
+    assert np.array_equal(np.array(point).view(np.int64), np.array(zero_d).view(np.int64))
+    np.testing.assert_allclose(array[:3], point, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("s", _SQUARE_OVERFLOW, ids=repr)
+def test_sigma_below_the_square_overflow_keeps_its_formula_bit_for_bit(s):
+    # the formula in 1 + x * x and log(e + x * x), on the array and the point
+    # path, up to just below the largest |x| whose square is finite
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-12.0, 154.0, 3000),
+                         [0.0, 1e154, -1.3407807929942596e154]])
+
+    def formula(x, log):
+        power = (1.0 + x * x) ** (s.theta / 2.0)
+        return s.c * power if isinstance(s, PowerTail) else s.c * power * log(math.e + x * x) ** s.q
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array, points = s(xs), [s(float(x)) for x in xs]
+        want_array = formula(xs, np.log)
+        want_points = [formula(float(x), lambda y: float(np.log(y))) for x in xs]
+    assert np.array_equal(array.view(np.int64), want_array.view(np.int64))
+    assert np.array_equal(np.array(points).view(np.int64), np.array(want_points).view(np.int64))
 
 
 def test_parse_power_spec():
